@@ -211,17 +211,22 @@ def _load_task_data(cfg: dict):
 # ---------------------------------------------------------------- running
 
 
+def _build_run_configs(cfg: dict, vocab_size: int, task: TaskSpec) -> tuple[ModelConfig, TrainConfig]:
+    train_section = cfg.get("train", {})
+    seed = int(train_section.get("seed", 0))
+    mix_cfg = _build_mixup(cfg.get("mixup", {}))
+    model_cfg = _build_model_config(cfg.get("model", {}), vocab_size, task, seed)
+    return model_cfg, _build_train_config(train_section, mix_cfg)
+
+
 def _execute_run(cfg: dict, train_ds: Dataset, dev_ds: Dataset, vocab_size: int):
     """One training run from a fully-resolved config dict; returns (RunReport, Parameters)."""
     task = train_ds.task
-    train_section = cfg.get("train", {})
-    seed = int(train_section.get("seed", 0))
-    fraction = float(train_section.get("fraction", 1.0))
+    fraction = float(cfg.get("train", {}).get("fraction", 1.0))
     if not 0.0 < fraction <= 1.0:
         raise InputError(f"train.fraction must lie in (0, 1], got {fraction}")
-    mix_cfg = _build_mixup(cfg.get("mixup", {}))
-    model_cfg = _build_model_config(cfg.get("model", {}), vocab_size, task, seed)
-    train_cfg = _build_train_config(train_section, mix_cfg)
+    model_cfg, train_cfg = _build_run_configs(cfg, vocab_size, task)
+    seed, mix_cfg = train_cfg.seed, train_cfg.mixup
     reduced = reduce_dataset(train_ds, fraction, seed) if fraction < 1.0 else train_ds
     params, reports = run_training(model_cfg, train_cfg, reduced, dev_ds)
     arm = "mixup" if mix_cfg.enabled else "baseline"
@@ -315,6 +320,9 @@ def cmd_sweep(args) -> int:
         seeds = [int(cfg.get("train", {}).get("seed", 0))]
 
     task, vocab, train_ds, dev_ds = _load_task_data(cfg)
+    # A bad value in the shared config is the user's error, not one per cell;
+    # cells differ only in seed, fraction and arm, all validated above.
+    _build_run_configs(cfg, vocab.size, task)
     payloads = []
     for fraction in fractions:
         for arm in arms:
@@ -367,7 +375,7 @@ def cmd_sweep(args) -> int:
                     writer.writerow([task.name, fraction, "delta", "", repr(delta), "ok"])
     n_err = sum(1 for r in rows if r["status"] == "error")
     print(f"sweep: {len(rows)} cells ({n_err} failed) -> {csv_path}")
-    return 0
+    return 1 if n_err == len(rows) else 0
 
 
 def cmd_gradcheck(args) -> int:

@@ -317,6 +317,9 @@ def batches(
 ) -> list[EncodedBatch]:
     """Chunk the dataset into EncodedBatches; class labels are one-hot here.
 
+    Each batch is cut to the width of its longest real row: the columns
+    dropped hold only PAD with mask 0, which the encoder's key mask gives
+    zero weight, so the pooled output does not depend on them.
     shuffle_seed may be anything np.random.default_rng accepts; None keeps
     dataset order. The final short batch is kept unless drop_last.
     """
@@ -331,10 +334,12 @@ def batches(
         if drop_last and len(chunk) < batch_size:
             break
         exs = [ds.examples[i] for i in chunk]
+        mask = np.stack([ex.mask for ex in exs])
+        width = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
         out.append(
             EncodedBatch(
-                token_ids=np.stack([ex.token_ids for ex in exs]),
-                attention_mask=np.stack([ex.mask for ex in exs]),
+                token_ids=np.stack([ex.token_ids[:width] for ex in exs]),
+                attention_mask=mask[:, :width].copy(),
                 labels=_labels_array(ds.task, exs),
             )
         )

@@ -92,14 +92,28 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class Parameters:
-    """Named trainable tensors plus same-shaped gradient and Adam-moment slots."""
+    """Named trainable tensors stored in one flat float64 buffer, plus Adam moments.
+
+    `values` maps each name to a view of `flat` (copied in, in the given order,
+    which is the save-file order). `m` and `v` are the Adam moments, flat like
+    `flat`; `matrix_mask` is 1.0 on entries of tensors with two or more axes.
+    """
 
     def __init__(self, config: ModelConfig, values: dict[str, Array]):
         self.config = config
-        self.values = values
-        self.grads = {k: np.zeros_like(v) for k, v in values.items()}
-        self.m = {k: np.zeros_like(v) for k, v in values.items()}
-        self.v = {k: np.zeros_like(v) for k, v in values.items()}
+        sizes = [np.size(v) for v in values.values()]
+        self.flat = np.empty(sum(sizes))
+        self.matrix_mask = np.empty(sum(sizes))
+        self.values = {}
+        off = 0
+        for (name, value), n in zip(values.items(), sizes):
+            view = self.flat[off : off + n].reshape(np.shape(value))
+            view[...] = value
+            self.values[name] = view
+            self.matrix_mask[off : off + n] = float(view.ndim >= 2)
+            off += n
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def names(self) -> list[str]:
         return list(self.values)
@@ -222,7 +236,7 @@ def encode(
         Q = _split_heads(q_lin.output, b, L, H, dh)
         K = _split_heads(k_lin.output, b, L, H, dh)
         V = _split_heads(v_lin.output, b, L, H, dh)
-        scores = np.einsum("bhid,bhjd->bhij", Q, K) * inv_scale + key_bias
+        scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
         sm = softmax_rows(scores.reshape(b * H * L, L))
         attn = sm.output.reshape(b, H, L, L)
         if trace is not None:
@@ -232,7 +246,7 @@ def encode(
             attn_used = attn * attn_keep
         else:
             attn_keep, attn_used = None, attn
-        ctx = np.einsum("bhij,bhjd->bhid", attn_used, V)
+        ctx = attn_used @ V
         o_lin = _linear(_merge_heads(ctx, b, L, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
         ln1 = layer_norm(xf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
         x1f = ln1.output
@@ -299,14 +313,14 @@ def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
     grads[p + "attn.wo"] += dwo
     grads[p + "attn.bo"] += dbo
     dctx = _split_heads(dctxf, b, L, H, dh)
-    dattn = np.einsum("bhid,bhjd->bhij", dctx, c.V)
-    dV = np.einsum("bhij,bhid->bhjd", c.attn_used, dctx)
+    dattn = dctx @ c.V.swapaxes(-1, -2)
+    dV = c.attn_used.swapaxes(-1, -2) @ dctx
     if c.attn_keep is not None:
         dattn = dattn * c.attn_keep
     (dscores_flat,) = c.sm.backward(dattn.reshape(b * H * L, L))
     dscores = dscores_flat.reshape(b, H, L, L) * inv_scale
-    dQ = np.einsum("bhij,bhjd->bhid", dscores, c.K)
-    dK = np.einsum("bhij,bhid->bhjd", dscores, c.Q)
+    dQ = dscores @ c.K
+    dK = dscores.swapaxes(-1, -2) @ c.Q
     for lin, grad4, wname, bname in (
         (c.q_lin, dQ, "attn.wq", "attn.bq"),
         (c.k_lin, dK, "attn.wk", "attn.bk"),
@@ -348,8 +362,7 @@ def save_params(params: Parameters, path) -> None:
         fh.write(PARAMS_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for arr in params.values.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_params(path, config: ModelConfig) -> Parameters:
@@ -390,7 +403,7 @@ def load_params(path, config: ModelConfig) -> Parameters:
             raise InputError(
                 f"{path}: truncated in tensor {name!r}: need {nbytes} bytes, have {len(blob) - off}"
             )
-        values[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=off).reshape(shape).copy()
+        values[name] = np.frombuffer(blob, dtype="<f8", count=nbytes // 8, offset=off).reshape(shape)
         off += nbytes
     if off != len(blob):
         raise InputError(f"{path}: {len(blob) - off} trailing bytes after last tensor")

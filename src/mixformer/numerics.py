@@ -105,7 +105,7 @@ def gelu(x) -> DualResult:
     y = 0.5 * x * (1 + tanh(c * (x + a * x^3))), c = sqrt(2/pi), a = 0.044715.
     """
     x = as_tensor(x)
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):

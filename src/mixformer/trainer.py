@@ -109,39 +109,55 @@ def train_step(
         (dpooled,) = mix.backward(dpooled)
     grads = enc.backward(dpooled)
     grads.update(head_grads)
-    for name, g in grads.items():
-        np.copyto(params.grads[name], g)
     return loss, grads
 
 
 def adam_update(params: Parameters, grads: dict, step_count: int, config: TrainConfig) -> Parameters:
     """Bias-corrected Adam with decoupled weight decay on weight matrices only.
 
-    Optional global-norm clipping scales the gradients in place first. Decay
-    skips biases and layer-norm parameters (everything 1-D).
+    `grads` needs one gradient per parameter name. They are copied into one
+    flat vector in parameter order; if any entry is non-finite, this raises
+    NonFiniteLossError naming the first such tensor before any state changes.
+    Optional global-norm clipping scales that vector (not the caller's arrays).
+    Decay skips biases and layer-norm parameters (everything 1-D).
     """
     if step_count < 1:
         raise ValueError(f"step_count must be >= 1, got {step_count}")
+    g = np.concatenate([np.ravel(grads[name]) for name in params.values])
+    if not np.isfinite(g).all():
+        bad = _first_nonfinite([(name, grads[name]) for name in params.values])
+        raise NonFiniteLossError(f"non-finite gradient in tensor {bad!r}")
     clip = config.grad_clip_norm
     if clip is not None:
-        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        # einsum, not g @ g: a BLAS dot this long wakes OpenBLAS's thread pool.
+        # On 2 cores (OpenBLAS 0.3.31) that took 1.7 ms for 20k entries, and
+        # einsum 0.03 ms.
+        total = float(np.sqrt(np.einsum("i,i->", g, g)))
         if total > clip:
-            scale = clip / total
-            for g in grads.values():
-                g *= scale
+            g *= clip / total
     c1 = 1.0 - config.beta1**step_count
     c2 = 1.0 - config.beta2**step_count
-    for name, g in grads.items():
-        m, v = params.m[name], params.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        w = params.values[name]
-        update = config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
-        if config.weight_decay and w.ndim >= 2:
-            update = update + config.learning_rate * config.weight_decay * w
-        w -= update
+    m, v = params.m, params.v
+    # The ops below reuse `tmp` and `g` as outputs: a fresh temporary of this
+    # size costs more than the arithmetic done in it.
+    tmp = (1.0 - config.beta1) * g
+    m *= config.beta1
+    m += tmp
+    np.multiply(g, 1.0 - config.beta2, out=tmp)
+    tmp *= g
+    v *= config.beta2
+    v += tmp
+    denom = np.divide(v, c2, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    update = np.divide(m, c1, out=g)
+    update *= config.learning_rate
+    update /= denom
+    if config.weight_decay:
+        decay = np.multiply(params.flat, config.learning_rate * config.weight_decay, out=tmp)
+        decay *= params.matrix_mask
+        update += decay
+    params.flat -= update
     return params
 
 
@@ -209,10 +225,10 @@ def run_training(
                     params, batch, active, mix_cfg,
                     dropout_rng=dropout_rng, mixup_rng=mixup_rng,
                 )
+                opt_step += 1
+                adam_update(params, grads, opt_step, train_config)
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(f"epoch {epoch}, step {step}: {e}") from None
-            opt_step += 1
-            adam_update(params, grads, opt_step, train_config)
             losses.append(loss)
         dev_metric = evaluate(params, dev_ds, dev_ds.task)
         reports.append(

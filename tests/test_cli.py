@@ -210,6 +210,29 @@ class TestSweep:
         assert not any(r["arm"] == "delta" for r in rows)  # baseline arm has no ok cell
         assert "boom" in capsys.readouterr().err
 
+    def test_every_cell_failed_exits_1(self, toy_dir, tmp_path, monkeypatch):
+        def failing(cfg, train_ds, dev_ds, vocab_size):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "_execute_run", failing)
+        out = tmp_path / "sweep-failed"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "1.0", "--arms", "both", "--seeds", "3"])
+        assert rc == 1
+        statuses = [r["status"] for r in read_sweep_csv(out / "sweep.csv")]
+        assert statuses == ["error", "error"]
+
+    def test_bad_shared_config_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        out = tmp_path / "sweep-bad"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "1",
+                   "--set", "train.learning_rate=-1"])
+        assert rc == 2
+        assert calls == [] and not out.exists()
+        assert "learning_rate" in capsys.readouterr().err
+
     def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path):
         outs = []
         for name, jobs in (("seq", "1"), ("par", "2")):

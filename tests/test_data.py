@@ -247,9 +247,33 @@ class TestBatches:
 
     def test_no_seed_keeps_dataset_order(self):
         ds = make_classification_dataset(3, 3)
-        got = np.concatenate([b.token_ids for b in batches(ds, 4)])
-        expected = np.stack([ex.token_ids for ex in ds.examples])
-        np.testing.assert_array_equal(got, expected)
+        got = batches(ds, 4)
+        start = 0
+        for batch in got:
+            rows = ds.examples[start : start + len(batch.token_ids)]
+            width = batch.token_ids.shape[1]
+            np.testing.assert_array_equal(batch.token_ids, [ex.token_ids[:width] for ex in rows])
+            start += len(rows)
+        assert start == len(ds.examples)
+
+    def test_width_is_longest_real_row_and_dropped_columns_are_pad(self):
+        vocab = build_vocab(["a b c d e f g"])
+        texts = [" ".join("abcdefg"[: 1 + (i * 5) % 7]) for i in range(11)]
+        examples = [encode_example(vocab, SINGLE, t, None, i % 2, 12) for i, t in enumerate(texts)]
+        ds = Dataset(SINGLE, examples, "train", 12)
+        start = 0
+        for batch in batches(ds, 3):
+            rows = ds.examples[start : start + len(batch.token_ids)]
+            start += len(rows)
+            width = batch.token_ids.shape[1]
+            assert width == max(int(ex.mask.sum()) for ex in rows)
+            assert batch.attention_mask.shape == batch.token_ids.shape
+            for i, ex in enumerate(rows):
+                np.testing.assert_array_equal(batch.token_ids[i], ex.token_ids[:width])
+                np.testing.assert_array_equal(batch.attention_mask[i], ex.mask[:width])
+                assert np.all(ex.token_ids[width:] == PAD_ID)
+                assert np.all(ex.mask[width:] == 0)
+        assert start == len(ds.examples)
 
     def test_same_seed_same_composition(self):
         ds = make_classification_dataset(10, 10)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mixformer.data import LabelClasses, TaskSpec, batches
 from mixformer.errors import InputError
 from mixformer.model import (
     EncodedBatch,
@@ -17,6 +18,8 @@ from mixformer.model import (
     sinusoidal_positions,
 )
 from mixformer.numerics import DualResult, grad_check
+
+from conftest import text_dataset
 
 
 class TestConfig:
@@ -54,11 +57,20 @@ class TestInitParams:
         expected = math.sqrt(6.0 / (64 + 64)) / math.sqrt(3.0)
         assert abs(w.std() - expected) < 0.2 * expected
 
-    def test_grad_and_moment_slots_match_shapes(self, tiny_params):
+    def test_moments_and_named_values_share_flat_layout(self, tiny_config, tiny_params):
+        shapes = param_shapes(tiny_config)
+        n = sum(math.prod(shape) for shape in shapes.values())
+        assert tiny_params.flat.shape == tiny_params.m.shape == tiny_params.v.shape == (n,)
+        assert not tiny_params.m.any() and not tiny_params.v.any()
+        off = 0
         for name, arr in tiny_params.values.items():
-            assert tiny_params.grads[name].shape == arr.shape
-            assert tiny_params.m[name].shape == arr.shape
-            assert tiny_params.v[name].shape == arr.shape
+            assert arr.shape == shapes[name]
+            assert arr.base is tiny_params.flat
+            size = arr.size
+            np.testing.assert_array_equal(tiny_params.flat[off : off + size], arr.ravel())
+            assert np.all(tiny_params.matrix_mask[off : off + size] == float(arr.ndim >= 2))
+            off += size
+        assert off == n
 
 
 class TestEncode:
@@ -102,6 +114,22 @@ class TestEncode:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
         masked = attn[1, :, :, 3]  # row 1 position 3 is PAD
         assert np.all(masked < 1e-30)
+
+    def test_trimmed_batch_matches_padded_batch(self):
+        rows = [(i % 2, " ".join(["tok"] * (1 + i % 4) + [f"w{i}"])) for i in range(6)]
+        task = TaskSpec("pad", "single", LabelClasses(2), "accuracy", 1, 0)
+        ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
+        params = init_params(ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2,
+                                         d_ff=16, max_len=16, seed=4))
+        (trimmed,) = batches(ds, len(rows))
+        padded = EncodedBatch(np.stack([ex.token_ids for ex in ds.examples]),
+                              np.stack([ex.mask for ex in ds.examples]), trimmed.labels)
+        assert trimmed.token_ids.shape[1] < padded.token_ids.shape[1] == 16
+
+        def logits(batch):
+            return head_forward(params, encode(params, batch).output).output
+
+        np.testing.assert_allclose(logits(trimmed), logits(padded), rtol=0, atol=1e-12)
 
     def test_pooled_reads_only_position_zero(self, tiny_params, tiny_batch):
         trace = {}

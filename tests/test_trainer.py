@@ -6,7 +6,7 @@ from mixformer.data import LabelRegression, TaskSpec
 from mixformer.errors import NonFiniteLossError
 from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
-from mixformer.numerics import cross_entropy_soft
+from mixformer.numerics import DualResult, cross_entropy_soft
 from mixformer.synthetic import SyntheticSpec, generate, task_spec
 from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, train_step
 
@@ -51,14 +51,45 @@ class TestAdamUpdate:
         assert params.values["w"][0, 0] == pytest.approx(-0.0999999, abs=1e-6)
 
     def test_global_norm_clip_scales_gradients(self):
-        params = scalar_params(0.0)
-        params.values["g2"] = np.array([6.0, 8.0])
-        params.m["g2"] = np.zeros(2)
-        params.v["g2"] = np.zeros(2)
-        params.grads["g2"] = np.zeros(2)
+        cfg = ModelConfig(vocab_size=5, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=4, seed=0)
+        params = Parameters(cfg, {"w": np.array([[0.0]]), "g2": np.array([0.0, 0.0])})
         grads = {"w": np.array([[0.0]]), "g2": np.array([6.0, 8.0])}
-        adam_update(params, grads, 1, TrainConfig(grad_clip_norm=1.0))
-        np.testing.assert_allclose(grads["g2"], [0.6, 0.8])
+        tcfg = TrainConfig(grad_clip_norm=1.0)
+        adam_update(params, grads, 1, tcfg)
+        np.testing.assert_allclose(params.m, (1 - tcfg.beta1) * np.array([0.0, 0.6, 0.8]), rtol=1e-15)
+        np.testing.assert_array_equal(grads["g2"], [6.0, 8.0])
+
+    def test_flat_update_matches_per_tensor_recurrence(self, tiny_params):
+        # the per-tensor loop the flat update replaced, kept as the reference
+        def reference_step(values, m, v, grads, step, cfg):
+            grads = {k: g.copy() for k, g in grads.items()}
+            total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            if total > cfg.grad_clip_norm:
+                for g in grads.values():
+                    g *= cfg.grad_clip_norm / total
+            c1, c2 = 1.0 - cfg.beta1**step, 1.0 - cfg.beta2**step
+            for name, g in grads.items():
+                m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+                update = cfg.learning_rate * (m[name] / c1) / (np.sqrt(v[name] / c2) + cfg.adam_eps)
+                if values[name].ndim >= 2:
+                    update = update + cfg.learning_rate * cfg.weight_decay * values[name]
+                values[name] = values[name] - update
+            return total
+
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1, grad_clip_norm=1.0)
+        values = {k: w.copy() for k, w in tiny_params.values.items()}
+        m = {k: np.zeros_like(w) for k, w in values.items()}
+        v = {k: np.zeros_like(w) for k, w in values.items()}
+        rng = np.random.default_rng(0)
+        for step in (1, 2, 3):
+            grads = {k: rng.normal(size=w.shape) for k, w in values.items()}
+            assert reference_step(values, m, v, grads, step, cfg) > cfg.grad_clip_norm
+            adam_update(tiny_params, grads, step, cfg)
+        flat = lambda d: np.concatenate([d[k].ravel() for k in tiny_params.values])
+        np.testing.assert_allclose(tiny_params.flat, flat(values), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tiny_params.m, flat(m), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tiny_params.v, flat(v), rtol=0, atol=1e-15)
 
     def test_decay_applies_to_matrices_only(self, tiny_params):
         grads = {k: np.zeros_like(v) for k, v in tiny_params.values.items()}
@@ -241,6 +272,38 @@ class TestRunTraining:
         monkeypatch.setattr(trainer_mod, "train_step", boom)
         with pytest.raises(NonFiniteLossError, match="epoch 1, step 1"):
             run_training(quick_model_config(vocab), quick_train_config(), train_ds, dev_ds)
+
+    def test_nonfinite_gradient_aborts_before_adam_changes_state(self, monkeypatch):
+        train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=16)
+        real_encode, real_init, real_adam = trainer_mod.encode, trainer_mod.init_params, trainer_mod.adam_update
+        created, snapshots, backward_calls = [], [], []
+
+        def nan_on_third_backward(*args, **kwargs):
+            enc = real_encode(*args, **kwargs)
+
+            def backward(g):
+                grads = enc.backward(g)
+                backward_calls.append(1)
+                if len(backward_calls) == 3:
+                    grads["pooler.w"][0, 0] = np.inf
+                    grads["layer0.ffn.w1"][1, 2] = np.nan
+                return grads
+
+            return DualResult(enc.output, backward)
+
+        def recording_adam(params, *args):
+            real_adam(params, *args)
+            snapshots.append((params.flat.copy(), params.m.copy(), params.v.copy()))
+
+        monkeypatch.setattr(trainer_mod, "init_params", lambda cfg: created.append(real_init(cfg)) or created[-1])
+        monkeypatch.setattr(trainer_mod, "encode", nan_on_third_backward)
+        monkeypatch.setattr(trainer_mod, "adam_update", recording_adam)
+        with pytest.raises(NonFiniteLossError, match=r"epoch 1, step 3: .*gradient .*'layer0\.ffn\.w1'"):
+            run_training(quick_model_config(vocab), quick_train_config(), train_ds, dev_ds)
+        (params,) = created
+        assert len(snapshots) == 2
+        for now, then in zip((params.flat, params.m, params.v), snapshots[-1]):
+            assert now.tobytes() == then.tobytes()
 
     def test_task_mismatch_rejected(self):
         train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=16)
