@@ -20,7 +20,7 @@ from .numerics import (
     scalarize,
     softmax_rows,
 )
-from .trainer import train_step
+from .trainer import step_loss
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,18 @@ def _model_step_report(mix: bool, h: float):
     params, batch, plan = _tiny_setup(mix)
     names = params.names()
 
+    mixup_config = MixupConfig(lambda_policy=FixedLambda(0.35))
+
+    # f runs the forward pass only; grad_check calls backward once, on its
+    # unperturbed base evaluation.
     def f(*_):
-        loss, grads = train_step(params, batch, mix, MixupConfig(lambda_policy=FixedLambda(0.35)), plan=plan)
-        return DualResult(loss, lambda g: tuple(float(g) * grads[n] for n in names))
+        step = step_loss(params, batch, mix, mixup_config, plan=plan)
+
+        def backward(g):
+            grads = step.backward(g)
+            return tuple(grads[n] for n in names)
+
+        return DualResult(step.output, backward)
 
     return grad_check(f, [params.values[n] for n in names], h=h)
 

@@ -9,6 +9,7 @@ and accumulates named parameter gradients.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -138,13 +139,16 @@ def init_params(config: ModelConfig) -> Parameters:
     return Parameters(config, values)
 
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(length: int, d_model: int) -> Array:
+    """[length, d_model] sine/cosine table, computed once per shape; read-only."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, idx / d_model)
     enc = np.zeros((length, d_model))
     enc[:, 0::2] = np.sin(angles)
     enc[:, 1::2] = np.cos(angles)[:, : d_model // 2]
+    enc.flags.writeable = False
     return enc
 
 
@@ -192,15 +196,13 @@ def encode(
     batch: EncodedBatch,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    trace: dict | None = None,
 ) -> DualResult:
     """Run the encoder; output is the pooled [b, d_model] representation.
 
     The returned backward maps an upstream [b, d_model] gradient to a dict of
     per-parameter gradients (all encoder parameters; head excluded). Dropout
     masks are drawn from `rng` only in train mode and are reused exactly in
-    backward. Pass a dict as `trace` to capture per-layer attention weights
-    (pre-dropout) and the final hidden states.
+    backward.
     """
     cfg = params.config
     W = params.values
@@ -239,8 +241,6 @@ def encode(
         scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
         sm = softmax_rows(scores.reshape(b * H * L, L))
         attn = sm.output.reshape(b, H, L, L)
-        if trace is not None:
-            trace[f"attn.{i}"] = attn
         if p_drop > 0.0:
             attn_keep = (rng.random(attn.shape) >= p_drop) / (1.0 - p_drop)
             attn_used = attn * attn_keep
@@ -265,8 +265,6 @@ def encode(
                         Q, K, V, attn_used, attn_keep, ffn_keep, sm)
         )
 
-    if trace is not None:
-        trace["hidden"] = x
     pool_lin = _linear(x[:, 0, :], W["pooler.w"], W["pooler.b"])
     pooled = np.tanh(pool_lin.output)
 
@@ -331,12 +329,6 @@ def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
         grads[p + bname] += db
         dxf += dxp
     return dxf.reshape(b, L, H * dh)
-
-
-def pool_hidden(params: Parameters, hidden: Array) -> Array:
-    """Pooler only: position-0 hidden state through linear + tanh."""
-    h0 = hidden[:, 0, :]
-    return np.tanh(h0 @ params.values["pooler.w"] + params.values["pooler.b"])
 
 
 def head_forward(params: Parameters, pooled) -> DualResult:

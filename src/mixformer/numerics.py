@@ -77,9 +77,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> DualResult:
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.mean(axis=-1, keepdims=True)
+    # Row means as sum / n: what ndarray.mean computes, bit for bit, without
+    # its Python-level wrapper, which costs a measurable share of a small step.
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain + bias
@@ -91,8 +94,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> DualResult:
         dxhat = g * gain
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / n
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
         )
         return dx, dgain, dbias
 
@@ -129,12 +132,12 @@ def cross_entropy_soft(logits, targets) -> DualResult:
             f"cross_entropy_soft shape mismatch: logits {logits.shape} vs targets {targets.shape}"
         )
     row_sums = targets.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
+    if (np.abs(row_sums - 1.0) > 1e-9).any():
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise ValueError(
             f"target row {bad} is not a distribution (sums to {row_sums[bad]!r})"
         )
-    if np.any(targets < -1e-12) or np.any(targets > 1.0 + 1e-12):
+    if (targets < -1e-12).any() or (targets > 1.0 + 1e-12).any():
         raise ValueError("target entries must lie in [0, 1]")
     b = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
@@ -214,6 +217,9 @@ def grad_check(
         raise RuntimeError(
             "grad_check requires a deterministic function: two forward passes disagree"
         )
+    # Backward runs before any coordinate is perturbed: backward closures may
+    # read the inputs by reference (the training step reads the parameter
+    # views), so it must see them exactly as the base forward pass did.
     analytic = dual.backward(1.0)
     if len(analytic) != len(inputs):
         raise ValueError(

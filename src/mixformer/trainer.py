@@ -18,7 +18,7 @@ from .errors import NonFiniteLossError
 from .metrics import EvalResult, accuracy, matthews_corr, spearman_corr
 from .mixup import FixedLambda, MixPlan, MixupConfig, is_active, make_plan, mix_labels, mix_representations
 from .model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
-from .numerics import cross_entropy_soft, mse
+from .numerics import DualResult, cross_entropy_soft, mse
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,12 @@ class EpochReport:
 
 def _first_nonfinite(named: Sequence[tuple[str, np.ndarray | float]]) -> str | None:
     for name, value in named:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             return name
     return None
 
 
-def train_step(
+def step_loss(
     params: Parameters,
     batch: EncodedBatch,
     mix_active: bool,
@@ -68,13 +68,16 @@ def train_step(
     dropout_rng: np.random.Generator | None = None,
     mixup_rng: np.random.Generator | None = None,
     plan: MixPlan | None = None,
-):
-    """One forward/backward pass; returns (loss, grads dict over all parameters).
+) -> DualResult:
+    """Forward pass of one training step; output is the float loss.
 
     When mixing is active the pooled representations and the label rows are
-    interpolated with the same plan before the head, and the backward chain
-    routes gradient shares to both members of each pair. Pass an explicit
-    `plan` to pin the coefficient and pairing (tests, gradient checks).
+    interpolated with the same plan before the head. The returned backward
+    maps an upstream scalar gradient to a dict over all parameters, running
+    loss -> head -> mix -> encoder; for a pair it routes gradient shares to
+    both members. The backward closures read `params.values` by reference, so
+    call it before the parameters change. Pass an explicit `plan` to pin the
+    coefficient and pairing (tests, gradient checks).
     """
     enc = encode(params, batch, train_mode=True, rng=dropout_rng)
     h = enc.output
@@ -103,13 +106,30 @@ def train_step(
     if bad is not None:
         raise NonFiniteLossError(f"non-finite values in tensor {bad!r}")
 
-    (dlogits,) = loss_dual.backward(1.0)
-    dpooled, head_grads = head.backward(dlogits)
-    if mix is not None:
-        (dpooled,) = mix.backward(dpooled)
-    grads = enc.backward(dpooled)
-    grads.update(head_grads)
-    return loss, grads
+    def backward(g):
+        (dlogits,) = loss_dual.backward(g)
+        dpooled, head_grads = head.backward(dlogits)
+        if mix is not None:
+            (dpooled,) = mix.backward(dpooled)
+        grads = enc.backward(dpooled)
+        grads.update(head_grads)
+        return grads
+
+    return DualResult(loss, backward)
+
+
+def train_step(
+    params: Parameters,
+    batch: EncodedBatch,
+    mix_active: bool,
+    mixup_config: MixupConfig,
+    dropout_rng: np.random.Generator | None = None,
+    mixup_rng: np.random.Generator | None = None,
+    plan: MixPlan | None = None,
+):
+    """One forward/backward pass (see `step_loss`); returns (loss, grads dict)."""
+    step = step_loss(params, batch, mix_active, mixup_config, dropout_rng, mixup_rng, plan)
+    return step.output, step.backward(1.0)
 
 
 def adam_update(params: Parameters, grads: dict, step_count: int, config: TrainConfig) -> Parameters:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mixformer.model as model_mod
 from mixformer.data import LabelClasses, TaskSpec, batches
 from mixformer.errors import InputError
 from mixformer.model import (
@@ -13,7 +14,6 @@ from mixformer.model import (
     init_params,
     load_params,
     param_shapes,
-    pool_hidden,
     save_params,
     sinusoidal_positions,
 )
@@ -107,10 +107,21 @@ class TestEncode:
         ).output
         assert permuted.tobytes() == pooled[perm].tobytes()
 
-    def test_attention_rows_sum_to_one_and_masked_keys_get_nothing(self, tiny_params, tiny_batch):
-        trace = {}
-        encode(tiny_params, tiny_batch, trace=trace)
-        attn = trace["attn.0"]  # [b, heads, query, key]
+    def test_attention_rows_sum_to_one_and_masked_keys_get_nothing(
+        self, tiny_params, tiny_batch, monkeypatch
+    ):
+        captured = []
+        real = model_mod.softmax_rows
+
+        def capturing_softmax(x):
+            out = real(x)
+            captured.append(out.output)
+            return out
+
+        monkeypatch.setattr(model_mod, "softmax_rows", capturing_softmax)
+        encode(tiny_params, tiny_batch)
+        (weights,) = captured  # one layer: [b * heads * query, key]
+        attn = weights.reshape(2, 2, 4, 4)  # [b, heads, query, key]
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
         masked = attn[1, :, :, 3]  # row 1 position 3 is PAD
         assert np.all(masked < 1e-30)
@@ -131,12 +142,21 @@ class TestEncode:
 
         np.testing.assert_allclose(logits(trimmed), logits(padded), rtol=0, atol=1e-12)
 
-    def test_pooled_reads_only_position_zero(self, tiny_params, tiny_batch):
-        trace = {}
-        pooled = encode(tiny_params, tiny_batch, trace=trace).output
-        hidden = trace["hidden"].copy()
+    def test_pooled_reads_only_position_zero(self, tiny_params, tiny_batch, monkeypatch):
+        captured = []
+        real = model_mod.layer_norm
+
+        def capturing_layer_norm(*args):
+            out = real(*args)
+            captured.append(out.output)
+            return out
+
+        monkeypatch.setattr(model_mod, "layer_norm", capturing_layer_norm)
+        pooled = encode(tiny_params, tiny_batch).output
+        hidden = captured[-1].reshape(2, 4, 8).copy()  # final hidden states [b, L, d]
         hidden[:, 1:, :] += 17.0  # perturb every non-CLS final hidden state
-        np.testing.assert_array_equal(pool_hidden(tiny_params, hidden), pooled)
+        W = tiny_params.values
+        np.testing.assert_array_equal(np.tanh(hidden[:, 0] @ W["pooler.w"] + W["pooler.b"]), pooled)
 
     def test_token_id_out_of_range(self, tiny_params, tiny_batch):
         bad = EncodedBatch(tiny_batch.token_ids + 100, tiny_batch.attention_mask, tiny_batch.labels)
@@ -181,6 +201,21 @@ class TestSinusoidalPositions:
     def test_first_row_alternates_zero_one(self):
         enc = sinusoidal_positions(4, 6)
         np.testing.assert_allclose(enc[0], [0, 1, 0, 1, 0, 1], atol=1e-15)
+
+    @pytest.mark.parametrize("length,d_model", [(4, 6), (7, 8), (3, 5)])
+    def test_cached_table_equals_fresh_table_and_is_read_only(self, length, d_model):
+        enc = sinusoidal_positions(length, d_model)
+        assert sinusoidal_positions(length, d_model) is enc
+        np.testing.assert_array_equal(enc, sinusoidal_positions.__wrapped__(length, d_model))
+        assert not enc.flags.writeable
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
+
+    def test_encode_leaves_cached_table_unchanged(self, tiny_params, tiny_batch):
+        before = sinusoidal_positions(4, 8).copy()
+        encode(tiny_params, tiny_batch)
+        encode(tiny_params, tiny_batch, train_mode=True, rng=np.random.default_rng(1))
+        np.testing.assert_array_equal(sinusoidal_positions(4, 8), before)
 
 
 class TestHeadForward:

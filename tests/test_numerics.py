@@ -85,6 +85,33 @@ class TestLayerNorm:
         report = grad_check(scalarize(layer_norm, probe), [x, gain, bias], h=1e-5)
         assert report.max_rel_error < 1e-5
 
+    @pytest.mark.parametrize("width", [5, 8, 24, 32])
+    def test_forward_and_backward_bit_identical_to_mean_formulas(self, width):
+        rng = np.random.default_rng(width)
+        x = rng.uniform(-3, 3, (2, 7, width))
+        gain = rng.uniform(0.5, 1.5, width)
+        bias = rng.uniform(-0.5, 0.5, width)
+        g = rng.uniform(-1, 1, x.shape)
+        eps = 1e-5
+        # Reference: the same formulas written with ndarray.mean.
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
+        dxhat = g * gain
+        ref_dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        dual = layer_norm(x, gain, bias, eps=eps)
+        np.testing.assert_array_equal(dual.output, xhat * gain + bias)
+        dx, dgain, dbias = dual.backward(g)
+        np.testing.assert_array_equal(dx, ref_dx)
+        np.testing.assert_array_equal(dgain, (g * xhat).reshape(-1, width).sum(axis=0))
+        np.testing.assert_array_equal(dbias, g.reshape(-1, width).sum(axis=0))
+
 
 class TestGelu:
     def test_zero(self):

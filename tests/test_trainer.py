@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mixformer.checks as checks_mod
 import mixformer.trainer as trainer_mod
 from mixformer.data import LabelRegression, TaskSpec
 from mixformer.errors import NonFiniteLossError
@@ -8,7 +9,7 @@ from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_r
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from mixformer.numerics import DualResult, cross_entropy_soft
 from mixformer.synthetic import SyntheticSpec, generate, task_spec
-from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, train_step
+from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, step_loss, train_step
 
 from conftest import text_dataset
 
@@ -164,6 +165,38 @@ class TestTrainStep:
         tiny_params.values["embed.tok"][4, :] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError, match="encoder.pooled"):
             train_step(tiny_params, tiny_batch, False, NO_MIX)
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_train_step_is_step_loss_forward_then_backward(self, tiny_params, tiny_batch, mix):
+        cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
+        plan = MixPlan(0.35, np.array([1, 0])) if mix else None
+        loss, grads = train_step(tiny_params, tiny_batch, mix, cfg, plan=plan)
+        step = step_loss(tiny_params, tiny_batch, mix, cfg, plan=plan)
+        assert step.output == loss
+        expected = step.backward(1.0)
+        assert set(grads) == set(expected) == set(tiny_params.values)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], expected[name])
+
+    @pytest.mark.parametrize("mix", [False, True])
+    def test_model_step_check_runs_forward_passes_and_one_backward(self, monkeypatch, mix):
+        counts = {"forward": 0, "backward": 0}
+
+        def counting(*args, **kwargs):
+            counts["forward"] += 1
+            step = step_loss(*args, **kwargs)
+
+            def backward(g):
+                counts["backward"] += 1
+                return step.backward(g)
+
+            return DualResult(step.output, backward)
+
+        monkeypatch.setattr(checks_mod, "step_loss", counting)
+        report = checks_mod._model_step_report(mix, 1e-5)
+        n_params = sum(e.size for e in report.per_input)
+        assert n_params == 778
+        assert counts == {"forward": 2 + 2 * n_params, "backward": 1}
 
     def test_regression_path_uses_mse(self, tiny_batch):
         cfg = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=16,
