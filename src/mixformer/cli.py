@@ -286,8 +286,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# The train and dev datasets shared by every sweep cell in this process. Pool
+# workers get them once, through the initializer (under fork, nothing is
+# pickled); --jobs 1 sets them in-process. Cell payloads then carry only configs.
+_sweep_data: tuple[Dataset, Dataset] | None = None
+
+
+def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset) -> None:
+    global _sweep_data
+    _sweep_data = (train_ds, dev_ds)
+
+
 def _run_sweep_cell(payload):
-    cfg, fraction, arm, seed, train_ds, dev_ds, vocab_size = payload
+    cfg, fraction, arm, seed, vocab_size = payload
+    train_ds, dev_ds = _sweep_data
     try:
         report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size)
         return {
@@ -301,21 +313,35 @@ def _run_sweep_cell(payload):
         }
 
 
+def _reject_repeats(values: list, flag: str) -> None:
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise InputError(f"{flag} repeats the value {v}")
+
+
 def cmd_sweep(args) -> int:
     cfg = _resolved_config(args)
     out_dir = _resolve_out(args, cfg)
-    fractions = (
-        [float(x) for x in args.fractions.split(",")] if args.fractions else list(DEFAULT_FRACTIONS)
-    )
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.fractions:
+        try:
+            fractions = [float(x) for x in args.fractions.split(",")]
+        except ValueError:
+            raise InputError(f"--fractions expects comma-separated numbers, got {args.fractions!r}") from None
+    else:
+        fractions = list(DEFAULT_FRACTIONS)
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise InputError(f"fractions must lie in (0, 1], got {f}")
+    _reject_repeats(fractions, "--fractions")
     arms = ["baseline", "mixup"] if args.arms == "both" else [args.arms]
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise InputError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
+        _reject_repeats(seeds, "--seeds")
     else:
         seeds = [int(cfg.get("train", {}).get("seed", 0))]
 
@@ -331,12 +357,15 @@ def cmd_sweep(args) -> int:
                 cell_cfg.setdefault("train", {})["seed"] = seed
                 cell_cfg["train"]["fraction"] = fraction
                 cell_cfg.setdefault("mixup", {})["enabled"] = arm == "mixup"
-                payloads.append((cell_cfg, fraction, arm, seed, train_ds, dev_ds, vocab.size))
+                payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
 
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)
+        ) as ex:
             outcomes = list(ex.map(_run_sweep_cell, payloads))
     else:
+        _init_sweep_worker(train_ds, dev_ds)
         outcomes = [_run_sweep_cell(p) for p in payloads]
 
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)

@@ -191,27 +191,34 @@ def _lambda_tag(mix_active: bool, config: MixupConfig) -> float | str:
 
 
 def evaluate(params: Parameters, dev_ds: Dataset, task: TaskSpec, batch_size: int = 32) -> EvalResult:
-    """Forward-only pass (no dropout, no mixing); dispatches to the task metric."""
-    if not dev_ds.examples:
+    """Forward-only pass (no dropout, no mixing); dispatches to the task metric.
+
+    Rows are batched in order of real length (a stable sort), so each batch is
+    trimmed to about its rows' own width instead of the longest of 32 rows in
+    dataset order. Outputs are put back in dataset order before the metric, so
+    it sums in the same order as an unsorted pass. A row's outputs may differ
+    from that pass in the last bits, because the batch width changes the order
+    of the attention sums.
+    """
+    examples = dev_ds.examples
+    if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    preds: list = []
-    golds: list = []
-    for batch in batches(dev_ds, batch_size):
+    order = np.argsort([np.count_nonzero(ex.mask) for ex in examples], kind="stable")
+    by_length = Dataset(dev_ds.task, [examples[i] for i in order], dev_ds.split, dev_ds.max_len)
+    outs = []
+    for batch in batches(by_length, batch_size):
         pooled = encode(params, batch, train_mode=False).output
-        out = head_forward(params, pooled).output
-        if task.is_classification:
-            preds.extend(int(i) for i in np.argmax(out, axis=1))
-            golds.extend(int(i) for i in np.argmax(batch.labels, axis=1))
-        else:
-            preds.extend(float(v) for v in out[:, 0])
-            golds.extend(float(v) for v in batch.labels[:, 0])
+        outs.append(head_forward(params, pooled).output)
+    out = np.concatenate(outs)[np.argsort(order)]
+    preds = (np.argmax(out, axis=1) if task.is_classification else out[:, 0]).tolist()
+    golds = [ex.label for ex in examples]
     if task.metric == "accuracy":
         value = accuracy(preds, golds)
     elif task.metric == "matthews":
         value = matthews_corr(preds, golds)
     else:
         value = spearman_corr(preds, golds)
-    return EvalResult(task.metric, value, len(dev_ds.examples))
+    return EvalResult(task.metric, value, len(examples))
 
 
 def run_training(

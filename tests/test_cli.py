@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 
@@ -6,6 +7,7 @@ import pytest
 import mixformer.checks as checks_mod
 import mixformer.cli as cli_mod
 from mixformer.cli import DEFAULT_FRACTIONS, config_hash, main
+from mixformer.data import Dataset
 from mixformer.numerics import DualResult
 
 SMALL_MODEL = [
@@ -233,20 +235,68 @@ class TestSweep:
         assert calls == [] and not out.exists()
         assert "learning_rate" in capsys.readouterr().err
 
-    def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path):
-        outs = []
+    def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch):
+        payloads = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                items = [list(it) for it in iterables]
+                payloads.extend(items[0])
+                return super().map(fn, *items, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        csvs, runs = [], []
         for name, jobs in (("seq", "1"), ("par", "2")):
             out = tmp_path / name
             rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                        "--fractions", "0.5,1.0", "--arms", "baseline", "--seeds", "2",
                        "--jobs", jobs, *SMALL_MODEL])
             assert rc == 0
-            outs.append((out / "sweep.csv").read_bytes())
-        assert outs[0] == outs[1]
+            csvs.append((out / "sweep.csv").read_bytes())
+            reports = {}
+            for path in sorted((out / "runs").glob("*.json")):
+                report = read_json(path)
+                for epoch in report["epochs"]:
+                    epoch.pop("wall_time_ms")
+                reports[path.name] = report
+            runs.append(reports)
+        assert csvs[0] == csvs[1]
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
+        # The datasets reach the workers through the pool initializer.
+        assert len(payloads) == 2
+        assert not any(isinstance(x, Dataset) for p in payloads for x in p)
 
     def test_bad_fraction_rejected(self, toy_dir, tmp_path):
         assert main(["sweep", "--config", str(toy_dir / "config.json"),
                      "--out", str(tmp_path / "x"), "--fractions", "0.0,1.0"]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, toy_dir, tmp_path, monkeypatch, capsys, jobs):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(tmp_path / "x"),
+                   "--fractions", "1.0", "--jobs", jobs])
+        assert rc == 2 and calls == []
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,values,named", [
+        ("--fractions", "0.05,0.1,0.05", "0.05"),
+        ("--seeds", "11,4,11", "11"),
+    ])
+    def test_repeated_value_exits_2_naming_it(self, toy_dir, tmp_path, monkeypatch, capsys, flag, values, named):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out), flag, values])
+        assert rc == 2 and calls == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert flag in err and named in err
+
+    def test_non_numeric_fraction_exits_2(self, toy_dir, tmp_path, capsys):
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"),
+                   "--out", str(tmp_path / "x"), "--fractions", "0.5,half"])
+        assert rc == 2
+        assert "--fractions" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

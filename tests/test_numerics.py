@@ -206,7 +206,6 @@ class TestGradCheck:
 
         report = grad_check(f, [np.array([1.0, 2.0])], h=1e-5)
         assert report.max_rel_error > 1e-2
-        assert not report.ok
 
     def test_nondeterministic_function_is_hard_error(self):
         state = {"n": 0}

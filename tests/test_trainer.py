@@ -3,8 +3,9 @@ import pytest
 
 import mixformer.checks as checks_mod
 import mixformer.trainer as trainer_mod
-from mixformer.data import LabelRegression, TaskSpec
+from mixformer.data import LabelClasses, LabelRegression, TaskSpec, batches
 from mixformer.errors import NonFiniteLossError
+from mixformer.metrics import accuracy, matthews_corr, spearman_corr
 from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from mixformer.numerics import DualResult, cross_entropy_soft
@@ -370,13 +371,59 @@ class TestEvaluate:
                           d_ff=16, max_len=16, head="regression", seed=0)
         assert evaluate(init_params(cfg), reg_ds, reg_task).metric_name == "spearman"
 
-        from mixformer.data import LabelClasses
         mcc_task = TaskSpec("cola-like", "single", LabelClasses(2), "matthews", 1, 0)
         rows = [(i % 2, f"word{i % 7} filler") for i in range(20)]
         mcc_ds, vocab2 = text_dataset(rows, mcc_task, split="dev")
         cfg2 = ModelConfig(vocab_size=vocab2.size, d_model=8, n_heads=2, n_layers=1,
                            d_ff=16, max_len=16, seed=0)
         assert evaluate(init_params(cfg2), mcc_ds, mcc_task).metric_name == "matthews"
+
+    @pytest.mark.parametrize("metric", ["accuracy", "matthews", "spearman"])
+    def test_length_order_leaves_metric_bit_identical(self, metric, monkeypatch):
+        rng = np.random.default_rng(6)
+        if metric == "spearman":
+            task = TaskSpec("reg", "single", LabelRegression(0.0, 4.0), metric, 1, 0)
+            labels = rng.uniform(0.0, 4.0, 90)
+        else:
+            n = 3 if metric == "accuracy" else 2
+            task = TaskSpec("cls", "single", LabelClasses(n), metric, 1, 0)
+            labels = rng.integers(0, n, 90)
+        rows = [(lab, " ".join(f"w{j}" for j in rng.integers(0, 40, rng.integers(1, 14)))) for lab in labels]
+        ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
+        lengths = [int(ex.mask.sum()) for ex in ds.examples]
+        assert lengths != sorted(lengths)
+        params = init_params(ModelConfig(
+            vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=16,
+            head="classification" if task.is_classification else "regression",
+            n_classes=task.label_kind.n if task.is_classification else 2, seed=1,
+        ))
+
+        # Reference: every row in dataset order, batches of 32.
+        preds, golds = [], []
+        for batch in batches(ds, 32):
+            out = head_forward(params, encode(params, batch).output).output
+            if task.is_classification:
+                preds += [int(i) for i in np.argmax(out, axis=1)]
+                golds += [int(i) for i in np.argmax(batch.labels, axis=1)]
+            else:
+                preds += [float(v) for v in out[:, 0]]
+                golds += [float(v) for v in batch.labels[:, 0]]
+        reference = {"accuracy": accuracy, "matthews": matthews_corr, "spearman": spearman_corr}[metric]
+        expected = reference(preds, golds)
+
+        seen = []
+
+        def recording_batches(*args):
+            out = batches(*args)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(trainer_mod, "batches", recording_batches)
+        result = evaluate(params, ds, task)
+        assert result.value == expected and result.n == 90
+        evaluated = [int(n) for b in seen for n in b.attention_mask.sum(axis=1)]
+        assert evaluated == sorted(lengths)
+        assert [b.token_ids.shape[0] for b in seen] == [32, 32, 26]
 
     def test_empty_dev_rejected(self, tiny_params):
         train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=16)
