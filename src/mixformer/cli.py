@@ -9,26 +9,19 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import copy
 import csv
+import difflib
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 from . import checks, synthetic
-from .data import (
-    Dataset,
-    LabelClasses,
-    LabelRegression,
-    TaskSpec,
-    Vocabulary,
-    build_vocab,
-    corpus_texts,
-    load_tsv,
-    reduce_dataset,
-)
+from .data import (Dataset, LabelClasses, LabelRegression, TaskSpec, Vocabulary, build_vocab, corpus_texts,
+                   load_tsv, reduce_dataset)
 from .errors import InputError, NonFiniteLossError
 from .mixup import BetaLambda, FixedLambda, MixupConfig
 from .model import ModelConfig, load_params, save_params
@@ -62,6 +55,43 @@ def config_hash(cfg: dict) -> str:
 
 # ---------------------------------------------------------------- config
 
+# Config keys and the dataclass fields they set. The model's vocab_size, head,
+# n_classes and seed follow from the vocabulary, the task and train.seed.
+MODEL_KEYS = tuple(f.name for f in fields(ModelConfig)
+                   if f.name not in ("vocab_size", "head", "n_classes", "seed"))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "mixup")
+VOCAB_KEYS = ("vocab_min_count", "vocab_max_size")  # in the model section; fields of RunConfig
+MIXUP_KEYS = ("enabled", "schedule")
+TASK_KEYS = ("name", "input_arity", "metric")
+PATH_KEYS = {"train": "train_path", "dev": "dev_path", "out": "out_dir"}
+COLUMN_KEYS = {"sentence1": "sentence1_col", "label": "label_col", "sentence2": "sentence2_col"}
+LABEL_KINDS = {"classes": (LabelClasses, {"n": "n"}), "regression": (LabelRegression, {"min": "lo", "max": "hi"})}
+POLICY_KEYS = {FixedLambda: {"lambda": "value"}, BetaLambda: ("alpha",)}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A config file, typed: the task, model and training configs, plus the keys
+    outside them. `model`'s vocab_size and seed are stand-ins until
+    `model_config` sets them from the built vocabulary and train.seed."""
+
+    task: TaskSpec
+    model: ModelConfig
+    train: TrainConfig
+    train_path: str
+    dev_path: str
+    out_dir: str = "mixf-out"
+    fraction: float = 1.0
+    vocab_min_count: int = 1
+    vocab_max_size: int = 50000
+
+    def __post_init__(self):
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"fraction must lie in (0, 1], got {self.fraction}")
+
+    def model_config(self, vocab_size: int) -> ModelConfig:
+        return replace(self.model, vocab_size=vocab_size, seed=self.train.seed)
+
 
 def _load_json_config(path) -> dict:
     try:
@@ -84,182 +114,182 @@ def _apply_set(cfg: dict, spec: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    *parents, leaf = key.split(".")
     node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.setdefault(part, {})
-        if not isinstance(nxt, dict):
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
             raise InputError(f"--set path {key!r} crosses a non-object value at {part!r}")
-        node = nxt
-    node[parts[-1]] = value
+    node[leaf] = value
 
 
-def _resolved_config(args) -> dict:
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(path: str, value, kind):
+    """`value` as `kind`: bool, int, float or str, alone or in a union with None
+    or (for a schedule) a list of ints. An int takes only integral numbers."""
+    arms = get_args(kind) or (kind,)
+    if value is None and type(None) in arms:
+        return None
+    if isinstance(value, list) and tuple[int, ...] in arms:
+        return tuple(_typed(f"{path}[{i}]", v, int) for i, v in enumerate(value))
+    kind = arms[0]
+    if isinstance(value, bool) != (kind is bool) or not (
+        isinstance(value, kind)
+        or kind is float and isinstance(value, int)
+        or kind is int and isinstance(value, float) and value.is_integer()
+    ) or kind is float and not math.isfinite(value):
+        raise InputError(f"config {path} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _section(parent: dict, path: str, valid) -> dict:
+    """The object at `path` in `parent` ({} when absent), holding only `valid` keys."""
+    node = parent.get(path.rpartition(".")[2], {}) if path else parent
+    if not isinstance(node, dict):
+        raise InputError(f"config {path} must be an object, got {json.dumps(node)}")
+    prefix = path + "." if path else ""
+    for key in node:
+        if key not in valid:
+            near = difflib.get_close_matches(key, valid, n=1)
+            hint = f"did you mean {prefix}{near[0]}?" if near else f"expected one of {', '.join(valid)}"
+            raise InputError(f"unknown config key {prefix}{key}; {hint}")
+    return node
+
+
+def _pairs(keys):
+    return keys.items() if isinstance(keys, dict) else zip(keys, keys)
+
+
+def _kwargs(node: dict, path: str, cls, keys) -> dict:
+    """The values `node` gives for fields of dataclass `cls`, typed by the
+    fields; `keys` maps config keys to field names (a tuple when equal). An
+    absent key keeps its field's default; a field without one must be given."""
+    hints, out = get_type_hints(cls), {}
+    for key, name in _pairs(keys):
+        if key in node:
+            out[name] = _typed(f"{path}.{key}", node[key], hints[name])
+        elif cls.__dataclass_fields__[name].default is MISSING:
+            raise InputError(f"config is missing {path}.{key}")
+    return out
+
+
+def load_config(raw: dict) -> RunConfig:
+    """The typed config of a resolved config dict (file, --set and --seed).
+
+    Defaults and types come from the dataclass fields. An unknown key, a value
+    of the wrong type, or one the configs reject raises InputError naming it.
+    """
+    _section(raw, "", ("model", "train", "mixup", "task", "paths"))
+    model = _section(raw, "model", MODEL_KEYS + VOCAB_KEYS)
+    train = _section(raw, "train", TRAIN_KEYS + ("fraction",))
+    mix = _section(raw, "mixup", (*MIXUP_KEYS, "lambda", "alpha"))
+    task = _section(raw, "task", (*TASK_KEYS, "labels", "columns"))
+    kind = _section(task, "task.labels", ("kind", "n", "min", "max")).get("kind")
+    if kind not in LABEL_KINDS:
+        raise InputError(f"config task.labels.kind must be classes or regression, got {json.dumps(kind)}")
+    label_cls, label_keys = LABEL_KINDS[kind]
+    labels = _section(task, "task.labels", ("kind", *label_keys))
+    if "lambda" in mix and "alpha" in mix:
+        raise InputError("config mixup takes either lambda (fixed) or alpha (beta), not both")
+    policy_cls = BetaLambda if "alpha" in mix else FixedLambda
+    try:  # a value of the right type that a config rejects
+        task_spec = TaskSpec(
+            label_kind=label_cls(**_kwargs(labels, "task.labels", label_cls, label_keys)),
+            **_kwargs(task, "task", TaskSpec, TASK_KEYS),
+            **_kwargs(_section(task, "task.columns", tuple(COLUMN_KEYS)), "task.columns", TaskSpec, COLUMN_KEYS),
+        )
+        mixup = MixupConfig(
+            lambda_policy=policy_cls(**_kwargs(mix, "mixup", policy_cls, POLICY_KEYS[policy_cls])),
+            **_kwargs(mix, "mixup", MixupConfig, MIXUP_KEYS),
+        )
+        classes = task_spec.is_classification
+        return RunConfig(
+            task=task_spec,
+            model=ModelConfig(
+                vocab_size=1, head="classification" if classes else "regression",
+                n_classes=task_spec.label_kind.n if classes else 2,
+                **_kwargs(model, "model", ModelConfig, MODEL_KEYS),
+            ),
+            train=TrainConfig(mixup=mixup, **_kwargs(train, "train", TrainConfig, TRAIN_KEYS)),
+            **_kwargs(model, "model", RunConfig, VOCAB_KEYS),
+            **_kwargs(train, "train", RunConfig, ("fraction",)),
+            **_kwargs(_section(raw, "paths", tuple(PATH_KEYS)), "paths", RunConfig, PATH_KEYS),
+        )
+    except ValueError as e:
+        raise InputError(f"bad config: {e}") from None
+
+
+def normalized_config(cfg: RunConfig) -> dict:
+    """`cfg` in the file's five-section layout, every default filled in; `load_config` inverts it."""
+    task, mix = cfg.task, cfg.train.mixup
+    kind = "classes" if task.is_classification else "regression"
+
+    def pick(obj, keys):
+        return {key: getattr(obj, name) for key, name in _pairs(keys)}
+
+    return {
+        "model": {**pick(cfg.model, MODEL_KEYS), **pick(cfg, VOCAB_KEYS)},
+        "train": {**pick(cfg.train, TRAIN_KEYS), **pick(cfg, ("fraction",))},
+        "mixup": {**pick(mix, MIXUP_KEYS),
+                  **pick(mix.lambda_policy, POLICY_KEYS[type(mix.lambda_policy)])},
+        "task": {**pick(task, TASK_KEYS), "columns": pick(task, COLUMN_KEYS),
+                 "labels": {"kind": kind, **pick(task.label_kind, LABEL_KINDS[kind][1])}},
+        "paths": pick(cfg, PATH_KEYS),
+    }
+
+
+def _resolved_config(args) -> RunConfig:
+    """The --config file with every --set and --seed applied, loaded."""
     cfg = _load_json_config(args.config)
     for spec in args.set or []:
         _apply_set(cfg, spec)
-    if getattr(args, "seed", None) is not None:
-        cfg.setdefault("train", {})["seed"] = args.seed
-    return cfg
+    if args.seed is not None:
+        _apply_set(cfg, f"train.seed={args.seed}")
+    return load_config(cfg)
 
 
-def _resolve_out(args, cfg: dict) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get("MIXF_OUT")
-    if env:
-        return env
-    return cfg.get("paths", {}).get("out", "mixf-out")
+def _resolve_out(args, cfg: RunConfig) -> str:
+    return args.out or os.environ.get("MIXF_OUT") or cfg.out_dir
 
 
-def _build_task(section: dict) -> TaskSpec:
-    try:
-        labels = section["labels"]
-        if labels.get("kind") == "classes":
-            kind = LabelClasses(int(labels["n"]))
-        elif labels.get("kind") == "regression":
-            kind = LabelRegression(float(labels["min"]), float(labels["max"]))
-        else:
-            raise InputError(f"task labels kind must be 'classes' or 'regression', got {labels.get('kind')!r}")
-        cols = section["columns"]
-        return TaskSpec(
-            name=str(section.get("name", "task")),
-            input_arity=str(section.get("input_arity", "single")),
-            label_kind=kind,
-            metric=str(section.get("metric", "accuracy")),
-            sentence1_col=int(cols["sentence1"]),
-            label_col=int(cols["label"]),
-            sentence2_col=int(cols["sentence2"]) if "sentence2" in cols else None,
-        )
-    except KeyError as e:
-        raise InputError(f"task config is missing {e.args[0]!r}") from None
-    except ValueError as e:
-        raise InputError(f"bad task config: {e}") from None
-
-
-def _build_mixup(section: dict) -> MixupConfig:
-    try:
-        if "alpha" in section and "lambda" in section:
-            raise InputError("mixup config: give either 'lambda' (fixed) or 'alpha' (beta), not both")
-        if "alpha" in section:
-            policy = BetaLambda(float(section["alpha"]))
-        else:
-            policy = FixedLambda(float(section.get("lambda", 0.5)))
-        schedule = section.get("schedule", "last_half")
-        if isinstance(schedule, list):
-            schedule = tuple(int(e) for e in schedule)
-        return MixupConfig(bool(section.get("enabled", True)), policy, schedule)
-    except ValueError as e:
-        raise InputError(f"bad mixup config: {e}") from None
-
-
-def _build_model_config(section: dict, vocab_size: int, task: TaskSpec, seed: int) -> ModelConfig:
-    try:
-        return ModelConfig(
-            vocab_size=vocab_size,
-            d_model=int(section.get("d_model", 32)),
-            n_heads=int(section.get("n_heads", 2)),
-            n_layers=int(section.get("n_layers", 2)),
-            d_ff=int(section.get("d_ff", 64)),
-            max_len=int(section.get("max_len", 128)),
-            head="classification" if task.is_classification else "regression",
-            n_classes=task.label_kind.n if task.is_classification else 2,
-            dropout_rate=float(section.get("dropout_rate", 0.1)),
-            seed=seed,
-        )
-    except ValueError as e:
-        raise InputError(f"bad model config: {e}") from None
-
-
-def _build_train_config(section: dict, mix: MixupConfig) -> TrainConfig:
-    clip = section.get("grad_clip_norm", 1.0)
-    try:
-        return TrainConfig(
-            epochs=int(section.get("epochs", 3)),
-            batch_size=int(section.get("batch_size", 8)),
-            learning_rate=float(section.get("learning_rate", 2e-5)),
-            beta1=float(section.get("beta1", 0.9)),
-            beta2=float(section.get("beta2", 0.999)),
-            adam_eps=float(section.get("adam_eps", 1e-8)),
-            weight_decay=float(section.get("weight_decay", 0.01)),
-            grad_clip_norm=None if clip is None else float(clip),
-            seed=int(section.get("seed", 0)),
-            mixup=mix,
-        )
-    except ValueError as e:
-        raise InputError(f"bad train config: {e}") from None
-
-
-def _load_task_data(cfg: dict):
-    task = _build_task(cfg.get("task", {}))
-    paths = cfg.get("paths", {})
-    for key in ("train", "dev"):
-        if key not in paths:
-            raise InputError(f"config paths section is missing {key!r}")
-    model_section = cfg.get("model", {})
-    max_len = int(model_section.get("max_len", 128))
-    vocab = build_vocab(
-        corpus_texts(paths["train"], task),
-        min_count=int(model_section.get("vocab_min_count", 1)),
-        max_size=int(model_section.get("vocab_max_size", 50000)),
-    )
-    train_ds = load_tsv(paths["train"], task, vocab, max_len, "train")
-    dev_ds = load_tsv(paths["dev"], task, vocab, max_len, "dev")
-    return task, vocab, train_ds, dev_ds
+def _load_task_data(cfg: RunConfig):
+    vocab = build_vocab(corpus_texts(cfg.train_path, cfg.task),
+                        min_count=cfg.vocab_min_count, max_size=cfg.vocab_max_size)
+    train_ds = load_tsv(cfg.train_path, cfg.task, vocab, cfg.model.max_len, "train")
+    dev_ds = load_tsv(cfg.dev_path, cfg.task, vocab, cfg.model.max_len, "dev")
+    return vocab, train_ds, dev_ds
 
 
 # ---------------------------------------------------------------- running
 
 
-def _build_run_configs(cfg: dict, vocab_size: int, task: TaskSpec) -> tuple[ModelConfig, TrainConfig]:
-    train_section = cfg.get("train", {})
-    seed = int(train_section.get("seed", 0))
-    mix_cfg = _build_mixup(cfg.get("mixup", {}))
-    model_cfg = _build_model_config(cfg.get("model", {}), vocab_size, task, seed)
-    return model_cfg, _build_train_config(train_section, mix_cfg)
-
-
-def _execute_run(cfg: dict, train_ds: Dataset, dev_ds: Dataset, vocab_size: int):
-    """One training run from a fully-resolved config dict; returns (RunReport, Parameters)."""
-    task = train_ds.task
-    fraction = float(cfg.get("train", {}).get("fraction", 1.0))
-    if not 0.0 < fraction <= 1.0:
-        raise InputError(f"train.fraction must lie in (0, 1], got {fraction}")
-    model_cfg, train_cfg = _build_run_configs(cfg, vocab_size, task)
-    seed, mix_cfg = train_cfg.seed, train_cfg.mixup
+def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int):
+    """One training run of a loaded config; returns (RunReport, Parameters)."""
+    task, seed, fraction = train_ds.task, cfg.train.seed, cfg.fraction
     reduced = reduce_dataset(train_ds, fraction, seed) if fraction < 1.0 else train_ds
-    params, reports = run_training(model_cfg, train_cfg, reduced, dev_ds)
-    arm = "mixup" if mix_cfg.enabled else "baseline"
+    params, reports = run_training(cfg.model_config(vocab_size), cfg.train, reduced, dev_ds)
+    arm = "mixup" if cfg.train.mixup.enabled else "baseline"
+    normalized = normalized_config(cfg)
     report = RunReport(
-        run_id=f"{task.name}-f{fraction:g}-{arm}-s{seed}",
-        task=task.name,
-        fraction=fraction,
-        mixup_enabled=mix_cfg.enabled,
-        seed=seed,
-        config=cfg,
-        config_hash=config_hash(cfg),
-        vocab_size=vocab_size,
-        metric_name=task.metric,
-        final_metric=reports[-1].dev_metric.value,
-        best_metric=max(r.dev_metric.value for r in reports),
-        epochs=reports,
+        run_id=f"{task.name}-f{fraction:g}-{arm}-s{seed}", task=task.name, fraction=fraction,
+        mixup_enabled=cfg.train.mixup.enabled, seed=seed, config=normalized, config_hash=config_hash(normalized),
+        vocab_size=vocab_size, metric_name=task.metric, final_metric=reports[-1].dev_metric.value,
+        best_metric=max(r.dev_metric.value for r in reports), epochs=reports,
     )
     return report, params
-
-
-def _write_report(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_train(args) -> int:
     cfg = _resolved_config(args)
     out_dir = _resolve_out(args, cfg)
-    task, vocab, train_ds, dev_ds = _load_task_data(cfg)
+    vocab, train_ds, dev_ds = _load_task_data(cfg)
     report, params = _execute_run(cfg, train_ds, dev_ds, vocab.size)
     os.makedirs(out_dir, exist_ok=True)
-    _write_report(report, os.path.join(out_dir, "run.json"))
+    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     save_params(params, os.path.join(out_dir, "params.mixf"))
     with open(os.path.join(out_dir, "vocab.json"), "w", encoding="utf-8") as fh:
         json.dump(vocab.to_dict(), fh, sort_keys=True)
@@ -270,7 +300,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolved_config(args)
-    task = _build_task(cfg.get("task", {}))
     try:
         with open(args.vocab, encoding="utf-8") as fh:
             vocab = Vocabulary.from_dict(json.load(fh))
@@ -278,10 +307,10 @@ def cmd_eval(args) -> int:
         raise InputError(f"cannot read vocab {args.vocab}: {e}") from None
     except (json.JSONDecodeError, ValueError) as e:
         raise InputError(f"bad vocab file {args.vocab}: {e}") from None
-    model_cfg = _build_model_config(cfg.get("model", {}), vocab.size, task, seed=0)
+    model_cfg = cfg.model_config(vocab.size)
     params = load_params(args.params, model_cfg)
-    dev_ds = load_tsv(args.dev, task, vocab, model_cfg.max_len, "dev")
-    result = evaluate(params, dev_ds, task)
+    dev_ds = load_tsv(args.dev, cfg.task, vocab, model_cfg.max_len, "dev")
+    result = evaluate(params, dev_ds, cfg.task)
     print(json.dumps({"metric": result.metric_name, "value": result.value, "n": result.n}))
     return 0
 
@@ -299,24 +328,23 @@ def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset) -> None:
 
 def _run_sweep_cell(payload):
     cfg, fraction, arm, seed, vocab_size = payload
-    train_ds, dev_ds = _sweep_data
+    cell = {"fraction": fraction, "arm": arm, "seed": seed}
     try:
-        report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size)
-        return {
-            "fraction": fraction, "arm": arm, "seed": seed,
-            "status": "ok", "metric": report.final_metric, "report": asdict(report),
-        }
+        report, _ = _execute_run(cfg, *_sweep_data, vocab_size)
+        return {**cell, "status": "ok", "metric": report.final_metric, "report": asdict(report)}
     except Exception as e:  # a failed cell must not kill the sweep
-        return {
-            "fraction": fraction, "arm": arm, "seed": seed,
-            "status": "error", "metric": None, "error": f"{type(e).__name__}: {e}",
-        }
+        return {**cell, "status": "error", "metric": None, "error": f"{type(e).__name__}: {e}"}
 
 
-def _reject_repeats(values: list, flag: str) -> None:
+def _parse_list(flag: str, text: str, kind, what: str) -> list:
+    try:
+        values = [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} expects comma-separated {what}, got {text!r}") from None
     for i, v in enumerate(values):
         if v in values[:i]:
             raise InputError(f"{flag} repeats the value {v}")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -324,39 +352,21 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args, cfg)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.fractions:
-        try:
-            fractions = [float(x) for x in args.fractions.split(",")]
-        except ValueError:
-            raise InputError(f"--fractions expects comma-separated numbers, got {args.fractions!r}") from None
-    else:
-        fractions = list(DEFAULT_FRACTIONS)
+    fractions = (_parse_list("--fractions", args.fractions, float, "numbers")
+                 if args.fractions else DEFAULT_FRACTIONS)
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise InputError(f"fractions must lie in (0, 1], got {f}")
-    _reject_repeats(fractions, "--fractions")
+    seeds = _parse_list("--seeds", args.seeds, int, "integers") if args.seeds else [cfg.train.seed]
     arms = ["baseline", "mixup"] if args.arms == "both" else [args.arms]
-    if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",")]
-        except ValueError:
-            raise InputError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
-        _reject_repeats(seeds, "--seeds")
-    else:
-        seeds = [int(cfg.get("train", {}).get("seed", 0))]
 
-    task, vocab, train_ds, dev_ds = _load_task_data(cfg)
-    # A bad value in the shared config is the user's error, not one per cell;
-    # cells differ only in seed, fraction and arm, all validated above.
-    _build_run_configs(cfg, vocab.size, task)
+    vocab, train_ds, dev_ds = _load_task_data(cfg)
     payloads = []
     for fraction in fractions:
         for arm in arms:
+            mixup = replace(cfg.train.mixup, enabled=arm == "mixup")
             for seed in seeds:
-                cell_cfg = copy.deepcopy(cfg)
-                cell_cfg.setdefault("train", {})["seed"] = seed
-                cell_cfg["train"]["fraction"] = fraction
-                cell_cfg.setdefault("mixup", {})["enabled"] = arm == "mixup"
+                cell_cfg = replace(cfg, fraction=fraction, train=replace(cfg.train, seed=seed, mixup=mixup))
                 payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
 
     if args.jobs > 1:
@@ -369,42 +379,32 @@ def cmd_sweep(args) -> int:
         outcomes = [_run_sweep_cell(p) for p in payloads]
 
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
-    rows = []
-    for outcome in outcomes:
-        if outcome["status"] == "ok":
-            report = outcome["report"]
-            with open(os.path.join(out_dir, "runs", report["run_id"] + ".json"), "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
+    for r in outcomes:
+        if r["status"] == "ok":
+            with open(os.path.join(out_dir, "runs", r["report"]["run_id"] + ".json"), "w", encoding="utf-8") as fh:
+                json.dump(r["report"], fh, indent=2, sort_keys=True)
         else:
-            print(
-                f"cell fraction={outcome['fraction']:g} arm={outcome['arm']} seed={outcome['seed']} "
-                f"failed: {outcome['error']}",
-                file=sys.stderr,
-            )
-        rows.append(outcome)
+            print(f"cell fraction={r['fraction']:g} arm={r['arm']} seed={r['seed']} failed: {r['error']}",
+                  file=sys.stderr)
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "fraction", "arm", "seed", "metric", "status"])
-        for r in rows:
+        for r in outcomes:
             metric = "" if r["metric"] is None else repr(r["metric"])
-            writer.writerow([task.name, r["fraction"], r["arm"], r["seed"], metric, r["status"]])
-        if set(arms) == {"baseline", "mixup"}:
-            def ok_metrics(fraction, arm):
-                return [
-                    r["metric"] for r in rows
-                    if r["fraction"] == fraction and r["arm"] == arm and r["status"] == "ok"
-                ]
-
-            for fraction in fractions:
-                base, mixed = ok_metrics(fraction, "baseline"), ok_metrics(fraction, "mixup")
-                if base and mixed:
-                    delta = sum(mixed) / len(mixed) - sum(base) / len(base)
-                    writer.writerow([task.name, fraction, "delta", "", repr(delta), "ok"])
-    n_err = sum(1 for r in rows if r["status"] == "error")
-    print(f"sweep: {len(rows)} cells ({n_err} failed) -> {csv_path}")
-    return 1 if n_err == len(rows) else 0
+            writer.writerow([cfg.task.name, r["fraction"], r["arm"], r["seed"], metric, r["status"]])
+        for fraction in fractions if set(arms) == {"baseline", "mixup"} else []:
+            base, mixed = (
+                [r["metric"] for r in outcomes if (r["fraction"], r["arm"], r["status"]) == (fraction, arm, "ok")]
+                for arm in ("baseline", "mixup")
+            )
+            if base and mixed:
+                delta = sum(mixed) / len(mixed) - sum(base) / len(base)
+                writer.writerow([cfg.task.name, fraction, "delta", "", repr(delta), "ok"])
+    n_err = sum(1 for r in outcomes if r["status"] == "error")
+    print(f"sweep: {len(outcomes)} cells ({n_err} failed) -> {csv_path}")
+    return 1 if n_err == len(outcomes) else 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -427,16 +427,13 @@ def cmd_gen_synthetic(args) -> int:
         raise InputError(str(e)) from None
     train_rows, dev_rows = synthetic.generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    train_path = os.path.join(args.out, "train.tsv")
-    dev_path = os.path.join(args.out, "dev.tsv")
+    train_path, dev_path = os.path.join(args.out, "train.tsv"), os.path.join(args.out, "dev.tsv")
     config_path = os.path.join(args.out, "config.json")
     synthetic.write_tsv(train_rows, train_path)
     synthetic.write_tsv(dev_rows, dev_path)
+    config = synthetic.default_config(train_path, dev_path, os.path.join(args.out, "run"), args.seed)
     with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            synthetic.default_config(train_path, dev_path, os.path.join(args.out, "run"), args.seed),
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {train_path} ({len(train_rows)} rows), {dev_path} ({len(dev_rows)} rows), {config_path}")
     return 0

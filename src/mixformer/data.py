@@ -309,19 +309,14 @@ def _labels_array(task: TaskSpec, examples: Sequence[Example]) -> np.ndarray:
     return np.asarray([[float(ex.label)] for ex in examples])
 
 
-def batches(
-    ds: Dataset,
-    batch_size: int,
-    shuffle_seed=None,
-    drop_last: bool = False,
-) -> list[EncodedBatch]:
+def batches(ds: Dataset, batch_size: int, shuffle_seed=None) -> list[EncodedBatch]:
     """Chunk the dataset into EncodedBatches; class labels are one-hot here.
 
     Each batch is cut to the width of its longest real row: the columns
     dropped hold only PAD with mask 0, which the encoder's key mask gives
     zero weight, so the pooled output does not depend on them.
     shuffle_seed may be anything np.random.default_rng accepts; None keeps
-    dataset order. The final short batch is kept unless drop_last.
+    dataset order. The final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -330,10 +325,7 @@ def batches(
         order = np.random.default_rng(shuffle_seed).permutation(len(ds.examples))
     out = []
     for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        if drop_last and len(chunk) < batch_size:
-            break
-        exs = [ds.examples[i] for i in chunk]
+        exs = [ds.examples[i] for i in order[start : start + batch_size]]
         mask = np.stack([ex.mask for ex in exs])
         width = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
         out.append(

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelClasses, TaskSpec
-
 CLASS_KEYWORDS = (
     ("gloomy", "dreadful", "awful", "tedious", "bleak", "sour", "broken", "dull"),
     ("radiant", "superb", "delightful", "crisp", "vivid", "graceful", "sturdy", "warm"),
@@ -74,17 +72,6 @@ def write_tsv(rows: list[tuple[int, str]], path) -> None:
         fh.write("label\tsentence\n")
         for label, sentence in rows:
             fh.write(f"{label}\t{sentence}\n")
-
-
-def task_spec() -> TaskSpec:
-    return TaskSpec(
-        name="synthetic-keywords",
-        input_arity="single",
-        label_kind=LabelClasses(2),
-        metric="accuracy",
-        sentence1_col=1,
-        label_col=0,
-    )
 
 
 def default_config(train_path: str, dev_path: str, out_dir: str, seed: int) -> dict:

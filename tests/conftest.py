@@ -1,30 +1,23 @@
-import numpy as np
 import pytest
 
+from mixformer.checks import _tiny_setup
 from mixformer.data import Dataset, TaskSpec, build_vocab, encode_example
-from mixformer.model import EncodedBatch, ModelConfig, init_params
+
+
+# The gradient checks' model: 11 tokens, d = 8, one layer, and its 2x4 batch.
+@pytest.fixture
+def tiny_params():
+    return _tiny_setup(False)[0]
 
 
 @pytest.fixture
-def tiny_config():
-    return ModelConfig(
-        vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=16,
-        max_len=4, head="classification", n_classes=2, dropout_rate=0.0, seed=3,
-    )
+def tiny_config(tiny_params):
+    return tiny_params.config
 
 
 @pytest.fixture
 def tiny_batch():
-    return EncodedBatch(
-        token_ids=np.array([[2, 4, 5, 3], [2, 6, 3, 0]], dtype=np.int64),
-        attention_mask=np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.int64),
-        labels=np.array([[1.0, 0.0], [0.0, 1.0]]),
-    )
-
-
-@pytest.fixture
-def tiny_params(tiny_config):
-    return init_params(tiny_config)
+    return _tiny_setup(False)[1]
 
 
 def text_dataset(rows, task: TaskSpec, max_len: int = 16, split: str = "train", vocab=None):

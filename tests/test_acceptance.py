@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mixformer.checks import gradient_check_suite
-from mixformer.cli import main
+from mixformer.cli import load_config, main
 from mixformer.data import load_tsv, reduce_dataset
 from mixformer.metrics import accuracy, matthews_corr, pearson_corr, spearman_corr
 from mixformer.mixup import (
@@ -27,7 +27,6 @@ from mixformer.mixup import (
 )
 from mixformer.model import ModelConfig
 from mixformer.numerics import cross_entropy_soft, softmax_rows
-from mixformer.synthetic import task_spec
 from mixformer.trainer import TrainConfig, run_training
 
 from conftest import text_dataset
@@ -235,8 +234,8 @@ def test_determinism_and_parity(experiment):
     assert reports[0] == reports[1]
 
     # arms sharing a reduction seed train on identical subsets
-    task = task_spec()
     cfg = json.loads((data_dir / "config.json").read_text())
+    task = load_config(cfg).task
     from mixformer.data import build_vocab, corpus_texts
     vocab = build_vocab(corpus_texts(data_dir / "train.tsv", task))
     train_ds = load_tsv(data_dir / "train.tsv", task, vocab, cfg["model"]["max_len"])

@@ -1,13 +1,16 @@
+import argparse
 import concurrent.futures
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 import mixformer.checks as checks_mod
 import mixformer.cli as cli_mod
-from mixformer.cli import DEFAULT_FRACTIONS, config_hash, main
+from mixformer.cli import DEFAULT_FRACTIONS, config_hash, load_config, main, normalized_config
 from mixformer.data import Dataset
+from mixformer.errors import InputError
 from mixformer.numerics import DualResult
 
 SMALL_MODEL = [
@@ -59,6 +62,9 @@ class TestTrain:
         assert (out / "params.mixf").exists()
         assert (out / "vocab.json").exists()
         assert report["config_hash"] == config_hash(report["config"])
+        # run.json echoes the normalized config: every default filled in.
+        assert report["config"]["train"]["beta1"] == 0.9
+        assert report["config"] == normalized_config(load_config(report["config"]))
 
     def test_missing_train_file_exits_2_naming_path(self, toy_dir, tmp_path, capsys):
         rc = main(["train", "--config", str(toy_dir / "config.json"),
@@ -319,14 +325,81 @@ class TestGradcheckCommand:
         assert "gelu" in captured.err
 
 
-def test_set_override_parsing(tmp_path):
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"train": {"seed": 1}}))
-    import argparse
-    args = argparse.Namespace(config=str(cfg_path),
-                              set=["train.epochs=5", "task.name=demo", "mixup.enabled=false"],
+def test_set_override_parsing(toy_dir):
+    args = argparse.Namespace(config=str(toy_dir / "config.json"),
+                              set=["train.epochs=5", "task.name=demo", "mixup.enabled=false",
+                                   "mixup.schedule=[2, 3]", "train.grad_clip_norm=null"],
                               seed=None)
     cfg = cli_mod._resolved_config(args)
-    assert cfg["train"]["epochs"] == 5
-    assert cfg["task"]["name"] == "demo"
-    assert cfg["mixup"]["enabled"] is False
+    assert cfg.train.epochs == 5
+    assert cfg.task.name == "demo"
+    assert cfg.train.mixup.enabled is False
+    assert cfg.train.mixup.schedule == (2, 3)
+    assert cfg.train.grad_clip_norm is None
+    assert cfg.train.seed == 3  # from the file
+
+
+class TestConfigLoader:
+    @pytest.mark.parametrize("override,named", [
+        ("mixup.enabled=False", ["mixup.enabled"]),
+        ('mixup.enabled="no"', ["mixup.enabled"]),
+        ("train.epoch=1", ["train.epoch", "epochs"]),
+        ("modle.d_model=8", ["modle", "model"]),
+        ("train.epochs=2.7", ["train.epochs"]),
+        ("train.epochs=true", ["train.epochs"]),
+        ("task.labels.n=2.5", ["task.labels.n"]),
+        ("train.seed=1.5", ["train.seed"]),
+        ("mixup.schedule=[2.9]", ["mixup.schedule"]),
+        ("mixup.lambda=true", ["mixup.lambda"]),
+    ])
+    def test_config_it_cannot_honour_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, override, named):
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert not out.exists()
+
+    def test_integral_float_is_an_int_and_int_a_float(self, toy_dir):
+        cfg = json.loads((toy_dir / "config.json").read_text())
+        cfg["train"].update(epochs=2.0, learning_rate=1)
+        loaded = load_config(cfg)
+        assert loaded.train.epochs == 2 and type(loaded.train.epochs) is int
+        assert loaded.train.learning_rate == 1.0 and type(loaded.train.learning_rate) is float
+
+    def test_missing_required_key_is_named(self, toy_dir):
+        cfg = json.loads((toy_dir / "config.json").read_text())
+        del cfg["task"]["columns"]["label"]
+        with pytest.raises(InputError, match="task.columns.label"):
+            load_config(cfg)
+
+    def test_normalized_config_loads_back_to_the_same_config(self, toy_dir):
+        cfg = json.loads((toy_dir / "config.json").read_text())
+        cfg["mixup"] = {"alpha": 0.4, "schedule": [2, 3]}
+        cfg["task"].update(labels={"kind": "regression", "min": 0, "max": 5}, metric="spearman")
+        loaded = load_config(cfg)
+        again = load_config(json.loads(json.dumps(normalized_config(loaded))))
+        assert again == loaded
+
+    def test_config_hash_names_the_run_not_its_spelling(self, toy_dir, tmp_path):
+        hashes = {}
+        for name, beta1 in (("omitted", []), ("spelled", ["--set", "train.beta1=0.9"]),
+                            ("changed", ["--set", "train.beta1=0.95"])):
+            out = tmp_path / name
+            rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                       *SMALL_MODEL, "--set", "train.epochs=1", *beta1])
+            assert rc == 0
+            hashes[name] = read_json(out / "run.json")["config_hash"]
+        assert hashes["omitted"] == hashes["spelled"]
+        assert hashes["changed"] != hashes["omitted"]
+
+    def test_readme_example_spells_out_every_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        example = json.loads(block)
+        normalized = normalized_config(load_config(example))
+        # Its values are the defaults ...
+        assert normalized == normalized_config(load_config({"task": example["task"], "paths": example["paths"]}))
+        # ... and it names every key of the sections that have defaults.
+        for section in ("model", "train", "mixup"):
+            assert example[section] == normalized[section]

@@ -240,11 +240,6 @@ class TestBatches:
         sizes = [b.token_ids.shape[0] for b in batches(ds, 8)]
         assert sizes == [8, 2]
 
-    def test_drop_last(self):
-        ds = make_classification_dataset(5, 5)
-        sizes = [b.token_ids.shape[0] for b in batches(ds, 8, drop_last=True)]
-        assert sizes == [8]
-
     def test_no_seed_keeps_dataset_order(self):
         ds = make_classification_dataset(3, 3)
         got = batches(ds, 4)

@@ -3,13 +3,14 @@ import pytest
 
 import mixformer.checks as checks_mod
 import mixformer.trainer as trainer_mod
+from mixformer.cli import load_config
 from mixformer.data import LabelClasses, LabelRegression, TaskSpec, batches
 from mixformer.errors import NonFiniteLossError
 from mixformer.metrics import accuracy, matthews_corr, spearman_corr
 from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from mixformer.numerics import DualResult, cross_entropy_soft
-from mixformer.synthetic import SyntheticSpec, generate, task_spec
+from mixformer.synthetic import SyntheticSpec, default_config, generate
 from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, step_loss, train_step
 
 from conftest import text_dataset
@@ -214,7 +215,7 @@ class TestTrainStep:
 def quick_task_data(n_train=360, n_dev=120, noise=0.0, seed=5):
     spec = SyntheticSpec(n_train=n_train, n_dev=n_dev, noise=noise, seed=seed)
     train_rows, dev_rows = generate(spec)
-    task = task_spec()
+    task = load_config(default_config("train.tsv", "dev.tsv", "out", seed)).task
     train_ds, vocab = text_dataset(train_rows, task)
     dev_ds, _ = text_dataset(dev_rows, task, split="dev", vocab=vocab)
     return train_ds, dev_ds, vocab
