@@ -20,8 +20,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 from . import checks, synthetic
-from .data import (Dataset, LabelClasses, LabelRegression, TaskSpec, Vocabulary, build_vocab, corpus_texts,
-                   load_tsv, reduce_dataset)
+from .data import (N_RESERVED, Dataset, LabelClasses, LabelRegression, TaskSpec, Vocabulary, build_vocab,
+                   corpus_texts, load_tsv, reduce_dataset)
 from .errors import InputError, NonFiniteLossError
 from .mixup import BetaLambda, FixedLambda, MixupConfig
 from .model import ModelConfig, load_params, save_params
@@ -88,6 +88,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {self.fraction}")
+        if self.vocab_max_size <= N_RESERVED:  # no room for a word: every token would be UNK
+            raise ValueError(f"model.vocab_max_size must exceed {N_RESERVED}, got {self.vocab_max_size}")
+        if self.vocab_min_count < 1:
+            raise ValueError(f"model.vocab_min_count must be at least 1, got {self.vocab_min_count}")
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return replace(self.model, vocab_size=vocab_size, seed=self.train.seed)
@@ -366,7 +370,10 @@ def cmd_sweep(args) -> int:
         for arm in arms:
             mixup = replace(cfg.train.mixup, enabled=arm == "mixup")
             for seed in seeds:
-                cell_cfg = replace(cfg, fraction=fraction, train=replace(cfg.train, seed=seed, mixup=mixup))
+                try:
+                    cell_cfg = replace(cfg, fraction=fraction, train=replace(cfg.train, seed=seed, mixup=mixup))
+                except ValueError as e:
+                    raise InputError(f"bad config: {e}") from None
                 payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
 
     if args.jobs > 1:

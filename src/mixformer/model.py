@@ -4,7 +4,7 @@ The encoder is a fixed feed-forward pipeline: scaled token embeddings plus
 sinusoidal positions, a stack of post-norm self-attention blocks with key-side
 padding masks, then a tanh pooler over the position-0 hidden state. Forward
 passes cache the per-op DualResults; encode's backward walks them in reverse
-and accumulates named parameter gradients.
+and accumulates the parameter gradients into `Parameters.grads`.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 class Parameters:
-    """Named trainable tensors stored in one flat float64 buffer, plus Adam moments.
+    """Named trainable tensors and their gradients in two flat float64 buffers.
 
-    `values` maps each name to a view of `flat` (copied in, in the given order,
-    which is the save-file order). `m` and `v` are the Adam moments, flat like
+    `values` and `grads` map each name to same-shaped views of `flat` and `grad`,
+    in the given order (the save-file order); values are copied in, gradients
+    are what the last backward wrote. `m` and `v` are the Adam moments, flat like
     `flat`; `matrix_mask` is 1.0 on entries of tensors with two or more axes.
     """
 
@@ -104,20 +105,19 @@ class Parameters:
         self.config = config
         sizes = [np.size(v) for v in values.values()]
         self.flat = np.empty(sum(sizes))
+        self.grad = np.zeros_like(self.flat)
         self.matrix_mask = np.empty(sum(sizes))
-        self.values = {}
+        self.values, self.grads = {}, {}
         off = 0
         for (name, value), n in zip(values.items(), sizes):
             view = self.flat[off : off + n].reshape(np.shape(value))
             view[...] = value
             self.values[name] = view
+            self.grads[name] = self.grad[off : off + n].reshape(view.shape)
             self.matrix_mask[off : off + n] = float(view.ndim >= 2)
             off += n
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-
-    def names(self) -> list[str]:
-        return list(self.values)
 
 
 def init_params(config: ModelConfig) -> Parameters:
@@ -199,10 +199,10 @@ def encode(
 ) -> DualResult:
     """Run the encoder; output is the pooled [b, d_model] representation.
 
-    The returned backward maps an upstream [b, d_model] gradient to a dict of
-    per-parameter gradients (all encoder parameters; head excluded). Dropout
-    masks are drawn from `rng` only in train mode and are reused exactly in
-    backward.
+    The returned backward maps an upstream [b, d_model] gradient to the
+    encoder's parameter gradients: it overwrites their views in `params.grads`
+    (every name but the head's) and returns nothing. Dropout masks are drawn
+    from `rng` only in train mode and are reused exactly in backward.
     """
     cfg = params.config
     W = params.values
@@ -270,11 +270,8 @@ def encode(
 
     def backward(g):
         g = np.asarray(g, dtype=np.float64)
-        grads = {
-            name: np.zeros_like(val)
-            for name, val in W.items()
-            if not name.startswith("head.")
-        }
+        grads = params.grads
+        params.grad[: -(d + 1) * cfg.out_dim] = 0.0  # all but head.w and head.b, the last two
         dh0, dwp, dbp = pool_lin.backward(g * (1.0 - pooled * pooled))
         grads["pooler.w"] += dwp
         grads["pooler.b"] += dbp
@@ -283,7 +280,6 @@ def encode(
         for i in reversed(range(cfg.n_layers)):
             dx = _layer_backward(caches[i], dx, grads, f"layer{i}.", b, L, H, dh, inv_scale)
         np.add.at(grads["embed.tok"], ids.reshape(-1), dx.reshape(-1, d) * emb_scale)
-        return grads
 
     return DualResult(pooled, backward)
 
@@ -332,7 +328,8 @@ def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
 
 
 def head_forward(params: Parameters, pooled) -> DualResult:
-    """Affine task head over pooled vectors; backward yields (dPooled, grads dict)."""
+    """Affine task head over pooled vectors; backward writes the head's views in
+    `params.grads` and returns dPooled."""
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.ndim != 2 or pooled.shape[1] != params.config.d_model:
         raise ValueError(
@@ -341,8 +338,10 @@ def head_forward(params: Parameters, pooled) -> DualResult:
     lin = _linear(pooled, params.values["head.w"], params.values["head.b"])
 
     def backward(g):
-        dp, dw, db = lin.backward(np.asarray(g, dtype=np.float64))
-        return dp, {"head.w": dw, "head.b": db}
+        dp, params.grads["head.w"][...], params.grads["head.b"][...] = lin.backward(
+            np.asarray(g, dtype=np.float64)
+        )
+        return dp
 
     return DualResult(lin.output, backward)
 

@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValueError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -73,11 +75,12 @@ def step_loss(
 
     When mixing is active the pooled representations and the label rows are
     interpolated with the same plan before the head. The returned backward
-    maps an upstream scalar gradient to a dict over all parameters, running
-    loss -> head -> mix -> encoder; for a pair it routes gradient shares to
-    both members. The backward closures read `params.values` by reference, so
-    call it before the parameters change. Pass an explicit `plan` to pin the
-    coefficient and pairing (tests, gradient checks).
+    maps an upstream scalar gradient to the gradients of all parameters,
+    running loss -> head -> mix -> encoder; for a pair it routes gradient
+    shares to both members. It overwrites `params.grad` and returns
+    `params.grads`. The backward closures read `params.values` by reference,
+    so call it before the parameters change. Pass an explicit `plan` to pin
+    the coefficient and pairing (tests, gradient checks).
     """
     enc = encode(params, batch, train_mode=True, rng=dropout_rng)
     h = enc.output
@@ -108,12 +111,11 @@ def step_loss(
 
     def backward(g):
         (dlogits,) = loss_dual.backward(g)
-        dpooled, head_grads = head.backward(dlogits)
+        dpooled = head.backward(dlogits)
         if mix is not None:
             (dpooled,) = mix.backward(dpooled)
-        grads = enc.backward(dpooled)
-        grads.update(head_grads)
-        return grads
+        enc.backward(dpooled)
+        return params.grads
 
     return DualResult(loss, backward)
 
@@ -127,26 +129,28 @@ def train_step(
     mixup_rng: np.random.Generator | None = None,
     plan: MixPlan | None = None,
 ):
-    """One forward/backward pass (see `step_loss`); returns (loss, grads dict)."""
+    """One forward/backward pass (see `step_loss`); returns (loss, `params.grads`).
+
+    The dict's arrays are views into `params.grad`: the next backward overwrites them.
+    """
     step = step_loss(params, batch, mix_active, mixup_config, dropout_rng, mixup_rng, plan)
     return step.output, step.backward(1.0)
 
 
-def adam_update(params: Parameters, grads: dict, step_count: int, config: TrainConfig) -> Parameters:
+def adam_update(params: Parameters, step_count: int, config: TrainConfig) -> Parameters:
     """Bias-corrected Adam with decoupled weight decay on weight matrices only.
 
-    `grads` needs one gradient per parameter name. They are copied into one
-    flat vector in parameter order; if any entry is non-finite, this raises
-    NonFiniteLossError naming the first such tensor before any state changes.
-    Optional global-norm clipping scales that vector (not the caller's arrays).
+    Reads the gradient from `params.grad`. If any entry is non-finite, this
+    raises NonFiniteLossError naming the first such tensor before any state
+    changes. Optional global-norm clipping scales a copy, never `params.grad`.
     Decay skips biases and layer-norm parameters (everything 1-D).
     """
     if step_count < 1:
         raise ValueError(f"step_count must be >= 1, got {step_count}")
-    g = np.concatenate([np.ravel(grads[name]) for name in params.values])
-    if not np.isfinite(g).all():
-        bad = _first_nonfinite([(name, grads[name]) for name in params.values])
+    if not np.isfinite(params.grad).all():
+        bad = _first_nonfinite(list(params.grads.items()))
         raise NonFiniteLossError(f"non-finite gradient in tensor {bad!r}")
+    g = params.grad.copy()  # the scratch array that clipping scales and the update is computed in
     clip = config.grad_clip_norm
     if clip is not None:
         # einsum, not g @ g: a BLAS dot this long wakes OpenBLAS's thread pool.
@@ -248,12 +252,12 @@ def run_training(
         shuffle_seed = np.random.SeedSequence([seed, 3, epoch])
         for step, batch in enumerate(batches(train_ds, train_config.batch_size, shuffle_seed), start=1):
             try:
-                loss, grads = train_step(
+                loss, _ = train_step(
                     params, batch, active, mix_cfg,
                     dropout_rng=dropout_rng, mixup_rng=mixup_rng,
                 )
                 opt_step += 1
-                adam_update(params, grads, opt_step, train_config)
+                adam_update(params, opt_step, train_config)
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(f"epoch {epoch}, step {step}: {e}") from None
             losses.append(loss)

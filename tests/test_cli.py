@@ -272,6 +272,15 @@ class TestSweep:
         assert len(payloads) == 2
         assert not any(isinstance(x, Dataset) for p in payloads for x in p)
 
+    def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "1.0", "--seeds", "3,-2"])
+        assert rc == 2 and calls == [] and not out.exists()
+        assert "train.seed" in capsys.readouterr().err
+
     def test_bad_fraction_rejected(self, toy_dir, tmp_path):
         assert main(["sweep", "--config", str(toy_dir / "config.json"),
                      "--out", str(tmp_path / "x"), "--fractions", "0.0,1.0"]) == 2
@@ -351,6 +360,9 @@ class TestConfigLoader:
         ("train.seed=1.5", ["train.seed"]),
         ("mixup.schedule=[2.9]", ["mixup.schedule"]),
         ("mixup.lambda=true", ["mixup.lambda"]),
+        ("train.seed=-1", ["train.seed"]),
+        ("model.vocab_max_size=4", ["model.vocab_max_size"]),
+        ("model.vocab_min_count=0", ["model.vocab_min_count"]),
     ])
     def test_config_it_cannot_honour_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, override, named):
         out = tmp_path / "out"
@@ -359,6 +371,17 @@ class TestConfigLoader:
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
         assert not out.exists()
+
+    def test_negative_seed_flag_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), "--seed", "-1"]) == 2
+        assert "train.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_vocabulary_keeps_a_word(self, toy_dir):
+        cfg = json.loads((toy_dir / "config.json").read_text())
+        cfg["model"].update(vocab_max_size=5, vocab_min_count=1)
+        assert load_config(cfg).vocab_max_size == 5
 
     def test_integral_float_is_an_int_and_int_a_float(self, toy_dir):
         cfg = json.loads((toy_dir / "config.json").read_text())

@@ -173,23 +173,35 @@ class TestEncode:
         b = encode(params, tiny_batch, train_mode=True, rng=np.random.default_rng(5)).output
         assert a.tobytes() == b.tobytes()
 
+    def test_backward_overwrites_the_encoder_gradients_and_leaves_the_head(self, tiny_params, tiny_batch):
+        enc = encode(tiny_params, tiny_batch)
+        g = np.random.default_rng(3).uniform(-1, 1, (2, 8))
+        tiny_params.grads["head.w"][...] = 7.0
+        tiny_params.grads["head.b"][...] = 7.0
+        enc.backward(g)
+        once = tiny_params.grad.copy()
+        enc.backward(g)  # the same gradients again, not doubled ones
+        assert tiny_params.grad.tobytes() == once.tobytes()
+        assert (tiny_params.grads["head.w"] == 7.0).all() and (tiny_params.grads["head.b"] == 7.0).all()
+        assert tiny_params.grads["embed.tok"].any() and tiny_params.grads["pooler.w"].any()
+
     def test_full_parameter_gradient_check(self, tiny_params, tiny_batch):
         rng = np.random.default_rng(14)
         probe = rng.uniform(-1, 1, (2, 8))
-        names = [n for n in tiny_params.names() if not n.startswith("head.")]
+        names = [n for n in tiny_params.values if not n.startswith("head.")]
 
         def f(*_):
             dual = encode(tiny_params, tiny_batch)
             value = float((dual.output * probe).sum())
 
             def backward(g):
-                grads = dual.backward(float(g) * probe)
-                return tuple(grads[n] for n in names)
+                dual.backward(float(g) * probe)
+                return tuple(tiny_params.grads[n] for n in names)
 
             return DualResult(value, backward)
 
-        report = grad_check(f, [tiny_params.values[n] for n in names], h=1e-5)
-        assert report.max_rel_error < 1e-3
+        err = grad_check(f, [tiny_params.values[n] for n in names], h=1e-5)
+        assert err < 1e-3
 
 
 class TestSinusoidalPositions:
@@ -240,10 +252,15 @@ class TestHeadForward:
         def f(*_):
             dual = head_forward(tiny_params, pooled)
             value = float((dual.output * probe).sum())
-            return DualResult(value, lambda g: (dual.backward(float(g) * probe)[1]["head.w"],))
 
-        report = grad_check(f, [tiny_params.values["head.w"]], h=1e-5)
-        assert report.max_rel_error < 1e-6
+            def backward(g):
+                dual.backward(float(g) * probe)
+                return (tiny_params.grads["head.w"],)
+
+            return DualResult(value, backward)
+
+        err = grad_check(f, [tiny_params.values["head.w"]], h=1e-5)
+        assert err < 1e-6
 
     def test_width_mismatch(self, tiny_params):
         with pytest.raises(ValueError, match="d_model"):
@@ -255,7 +272,7 @@ class TestSaveLoad:
         path = tmp_path / "params.mixf"
         save_params(tiny_params, path)
         loaded = load_params(path, tiny_config)
-        assert loaded.names() == tiny_params.names()
+        assert list(loaded.values) == list(tiny_params.values)
         for name in tiny_params.values:
             assert loaded.values[name].tobytes() == tiny_params.values[name].tobytes()
 

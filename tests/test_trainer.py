@@ -36,8 +36,8 @@ def test_train_config_defaults_are_fine_tuning_recipe():
 class TestAdamUpdate:
     def test_zero_gradients_no_decay_is_noop(self, tiny_params):
         before = {k: v.copy() for k, v in tiny_params.values.items()}
-        grads = {k: np.zeros_like(v) for k, v in tiny_params.values.items()}
-        adam_update(tiny_params, grads, 1, TrainConfig(weight_decay=0.0))
+        assert not tiny_params.grad.any()  # a fresh buffer holds zero gradients
+        adam_update(tiny_params, 1, TrainConfig(weight_decay=0.0))
         for name, arr in tiny_params.values.items():
             np.testing.assert_array_equal(arr, before[name])
 
@@ -45,7 +45,8 @@ class TestAdamUpdate:
         # w=0, g=1, lr=0.1: m_hat = 1, v_hat = 1, step = lr / (1 + eps)
         params = scalar_params(0.0)
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.0, grad_clip_norm=None)
-        adam_update(params, {"w": np.array([[1.0]])}, 1, cfg)
+        params.grads["w"][...] = 1.0
+        adam_update(params, 1, cfg)
         beta1, beta2, eps = cfg.beta1, cfg.beta2, cfg.adam_eps
         m_hat = ((1 - beta1) * 1.0) / (1 - beta1)
         v_hat = ((1 - beta2) * 1.0) / (1 - beta2)
@@ -56,11 +57,13 @@ class TestAdamUpdate:
     def test_global_norm_clip_scales_gradients(self):
         cfg = ModelConfig(vocab_size=5, d_model=2, n_heads=1, n_layers=1, d_ff=2, max_len=4, seed=0)
         params = Parameters(cfg, {"w": np.array([[0.0]]), "g2": np.array([0.0, 0.0])})
-        grads = {"w": np.array([[0.0]]), "g2": np.array([6.0, 8.0])}
+        params.grads["g2"][...] = [6.0, 8.0]
+        before = params.grad.tobytes()
         tcfg = TrainConfig(grad_clip_norm=1.0)
-        adam_update(params, grads, 1, tcfg)
+        adam_update(params, 1, tcfg)
         np.testing.assert_allclose(params.m, (1 - tcfg.beta1) * np.array([0.0, 0.6, 0.8]), rtol=1e-15)
-        np.testing.assert_array_equal(grads["g2"], [6.0, 8.0])
+        # clipping fired (norm 10 > 1) on a scratch copy: the gradient buffer is untouched
+        assert params.grad.tobytes() == before
 
     def test_flat_update_matches_per_tensor_recurrence(self, tiny_params):
         # the per-tensor loop the flat update replaced, kept as the reference
@@ -88,17 +91,18 @@ class TestAdamUpdate:
         for step in (1, 2, 3):
             grads = {k: rng.normal(size=w.shape) for k, w in values.items()}
             assert reference_step(values, m, v, grads, step, cfg) > cfg.grad_clip_norm
-            adam_update(tiny_params, grads, step, cfg)
+            for name, g in grads.items():
+                tiny_params.grads[name][...] = g
+            adam_update(tiny_params, step, cfg)
         flat = lambda d: np.concatenate([d[k].ravel() for k in tiny_params.values])
         np.testing.assert_allclose(tiny_params.flat, flat(values), rtol=0, atol=1e-15)
         np.testing.assert_allclose(tiny_params.m, flat(m), rtol=0, atol=1e-15)
         np.testing.assert_allclose(tiny_params.v, flat(v), rtol=0, atol=1e-15)
 
     def test_decay_applies_to_matrices_only(self, tiny_params):
-        grads = {k: np.zeros_like(v) for k, v in tiny_params.values.items()}
         before = {k: v.copy() for k, v in tiny_params.values.items()}
         cfg = TrainConfig(learning_rate=0.5, weight_decay=0.1)
-        adam_update(tiny_params, grads, 1, cfg)
+        adam_update(tiny_params, 1, cfg)
         for name, arr in tiny_params.values.items():
             if arr.ndim >= 2:
                 np.testing.assert_allclose(arr, before[name] * (1 - 0.5 * 0.1))
@@ -106,22 +110,21 @@ class TestAdamUpdate:
                 np.testing.assert_array_equal(arr, before[name])
 
     def test_step_count_validated(self, tiny_params):
-        grads = {k: np.zeros_like(v) for k, v in tiny_params.values.items()}
         with pytest.raises(ValueError, match="step_count"):
-            adam_update(tiny_params, grads, 0, TrainConfig())
+            adam_update(tiny_params, 0, TrainConfig())
 
 
 class TestTrainStep:
     def test_disabled_matches_hand_composed_plain_step(self, tiny_params, tiny_batch):
         loss, grads = train_step(tiny_params, tiny_batch, False, NO_MIX)
+        grads = {k: g.copy() for k, g in grads.items()}  # the backward below overwrites the views
         enc = encode(tiny_params, tiny_batch, train_mode=True)
         head = head_forward(tiny_params, enc.output)
         ce = cross_entropy_soft(head.output, tiny_batch.labels)
         assert loss == float(ce.output)
         (dlogits,) = ce.backward(1.0)
-        dpooled, head_grads = head.backward(dlogits)
-        expected = enc.backward(dpooled)
-        expected.update(head_grads)
+        enc.backward(head.backward(dlogits))
+        expected = tiny_params.grads
         assert set(grads) == set(expected)
         for name in grads:
             assert grads[name].tobytes() == expected[name].tobytes()
@@ -173,6 +176,7 @@ class TestTrainStep:
         cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
         plan = MixPlan(0.35, np.array([1, 0])) if mix else None
         loss, grads = train_step(tiny_params, tiny_batch, mix, cfg, plan=plan)
+        grads = {k: g.copy() for k, g in grads.items()}
         step = step_loss(tiny_params, tiny_batch, mix, cfg, plan=plan)
         assert step.output == loss
         expected = step.backward(1.0)
@@ -195,10 +199,22 @@ class TestTrainStep:
             return DualResult(step.output, backward)
 
         monkeypatch.setattr(checks_mod, "step_loss", counting)
-        report = checks_mod._model_step_report(mix, 1e-5)
-        n_params = sum(e.size for e in report.per_input)
+        checks_mod._model_step_error(mix, 1e-5)
+        n_params = checks_mod._tiny_setup(mix)[0].flat.size
         assert n_params == 778
         assert counts == {"forward": 2 + 2 * n_params, "backward": 1}
+
+    def test_consecutive_steps_reuse_the_views_and_overwrite_them(self, tiny_params, tiny_batch):
+        cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
+        _, first = train_step(tiny_params, tiny_batch, True, cfg, plan=MixPlan(0.35, np.array([1, 0])))
+        first_values = {k: g.copy() for k, g in first.items()}
+        _, second = train_step(tiny_params, tiny_batch, False, NO_MIX)
+        assert all(second[name] is first[name] for name in tiny_params.values)
+        assert all(np.shares_memory(g, tiny_params.grad) for g in second.values())
+        _, fresh = train_step(init_params(tiny_params.config), tiny_batch, False, NO_MIX)
+        for name in second:
+            assert second[name].tobytes() == fresh[name].tobytes()
+        assert any(not np.array_equal(first_values[k], second[k]) for k in second)
 
     def test_regression_path_uses_mse(self, tiny_batch):
         cfg = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=16,
@@ -317,12 +333,12 @@ class TestRunTraining:
             enc = real_encode(*args, **kwargs)
 
             def backward(g):
-                grads = enc.backward(g)
+                enc.backward(g)
                 backward_calls.append(1)
                 if len(backward_calls) == 3:
+                    grads = args[0].grads
                     grads["pooler.w"][0, 0] = np.inf
                     grads["layer0.ffn.w1"][1, 2] = np.nan
-                return grads
 
             return DualResult(enc.output, backward)
 
