@@ -2,7 +2,8 @@
 
 The encoder is a fixed feed-forward pipeline: scaled token embeddings plus
 sinusoidal positions, a stack of post-norm self-attention blocks with key-side
-padding masks, then a tanh pooler over the position-0 hidden state. Forward
+padding masks, then a tanh pooler over the position-0 hidden state. Since the
+pooler reads nothing else, the last block computes position 0 only. Forward
 passes cache the per-op DualResults; encode's backward walks them in reverse
 and accumulates the parameter gradients into `Parameters.grads`.
 """
@@ -199,10 +200,18 @@ def encode(
 ) -> DualResult:
     """Run the encoder; output is the pooled [b, d_model] representation.
 
+    Earlier blocks compute every position. The last block computes K and V for
+    every position but its queries, attention rows, output projection, layer
+    norms and FFN for position 0 only, the one the pooler reads; its backward
+    scatters the residual and query input gradients into the position-0 rows
+    of a zero [b, L, d_model] gradient and adds the K and V ones over all rows.
+
     The returned backward maps an upstream [b, d_model] gradient to the
     encoder's parameter gradients: it overwrites their views in `params.grads`
     (every name but the head's) and returns nothing. Dropout masks are drawn
-    from `rng` only in train mode and are reused exactly in backward.
+    from `rng` only in train mode, at every block's full [b, H, L, L] and
+    [b, L, d_model] shapes so the stream does not depend on the pruning, and
+    are reused exactly in backward.
     """
     cfg = params.config
     W = params.values
@@ -231,35 +240,37 @@ def encode(
     caches: list[_LayerCache] = []
     for i in range(cfg.n_layers):
         p = f"layer{i}."
+        Lq = 1 if i == cfg.n_layers - 1 else L  # query positions this block computes
         xf = x.reshape(b * L, d)
-        q_lin = _linear(xf, W[p + "attn.wq"], W[p + "attn.bq"])
+        xqf = x[:, :Lq, :].reshape(b * Lq, d)
+        q_lin = _linear(xqf, W[p + "attn.wq"], W[p + "attn.bq"])
         k_lin = _linear(xf, W[p + "attn.wk"], W[p + "attn.bk"])
         v_lin = _linear(xf, W[p + "attn.wv"], W[p + "attn.bv"])
-        Q = _split_heads(q_lin.output, b, L, H, dh)
+        Q = _split_heads(q_lin.output, b, Lq, H, dh)
         K = _split_heads(k_lin.output, b, L, H, dh)
         V = _split_heads(v_lin.output, b, L, H, dh)
         scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
-        sm = softmax_rows(scores.reshape(b * H * L, L))
-        attn = sm.output.reshape(b, H, L, L)
+        sm = softmax_rows(scores.reshape(b * H * Lq, L))
+        attn = sm.output.reshape(b, H, Lq, L)
         if p_drop > 0.0:
-            attn_keep = (rng.random(attn.shape) >= p_drop) / (1.0 - p_drop)
+            attn_keep = (rng.random((b, H, L, L))[:, :, :Lq] >= p_drop) / (1.0 - p_drop)
             attn_used = attn * attn_keep
         else:
             attn_keep, attn_used = None, attn
         ctx = attn_used @ V
-        o_lin = _linear(_merge_heads(ctx, b, L, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
-        ln1 = layer_norm(xf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
+        o_lin = _linear(_merge_heads(ctx, b, Lq, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
+        ln1 = layer_norm(xqf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
         x1f = ln1.output
         f1 = _linear(x1f, W[p + "ffn.w1"], W[p + "ffn.b1"])
         act = gelu(f1.output)
         f2 = _linear(act.output, W[p + "ffn.w2"], W[p + "ffn.b2"])
         if p_drop > 0.0:
-            ffn_keep = (rng.random(f2.output.shape) >= p_drop) / (1.0 - p_drop)
+            ffn_keep = (rng.random((b, L, d))[:, :Lq].reshape(b * Lq, d) >= p_drop) / (1.0 - p_drop)
             ffn_out = f2.output * ffn_keep
         else:
             ffn_keep, ffn_out = None, f2.output
         ln2 = layer_norm(x1f + ffn_out, W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
-        x = ln2.output.reshape(b, L, d)
+        x = ln2.output.reshape(b, Lq, d)
         caches.append(
             _LayerCache(q_lin, k_lin, v_lin, o_lin, ln1, f1, act, f2, ln2,
                         Q, K, V, attn_used, attn_keep, ffn_keep, sm)
@@ -275,8 +286,7 @@ def encode(
         dh0, dwp, dbp = pool_lin.backward(g * (1.0 - pooled * pooled))
         grads["pooler.w"] += dwp
         grads["pooler.b"] += dbp
-        dx = np.zeros((b, L, d))
-        dx[:, 0, :] = dh0
+        dx = dh0.reshape(b, 1, d)  # the last block's output covers position 0 only
         for i in reversed(range(cfg.n_layers)):
             dx = _layer_backward(caches[i], dx, grads, f"layer{i}.", b, L, H, dh, inv_scale)
         np.add.at(grads["embed.tok"], ids.reshape(-1), dx.reshape(-1, d) * emb_scale)
@@ -285,7 +295,11 @@ def encode(
 
 
 def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
-    dx2f = dx.reshape(b * L, H * dh)
+    """Backward of one block: dx is [b, Lq, d] for its Lq query positions; the
+    input gradient returned is [b, L, d], with the residual and Q paths in the
+    first Lq positions of every row and the K and V paths over all L."""
+    Lq = c.Q.shape[2]
+    dx2f = dx.reshape(b * Lq, H * dh)
     dres2, dg2, db2 = c.ln2.backward(dx2f)
     grads[p + "ffn.ln.gain"] += dg2
     grads[p + "ffn.ln.bias"] += db2
@@ -302,21 +316,25 @@ def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
     dres1, dg1, db1 = c.ln1.backward(dx1f)
     grads[p + "attn.ln.gain"] += dg1
     grads[p + "attn.ln.bias"] += db1
-    dxf = dres1.copy()
     dctxf, dwo, dbo = c.o_lin.backward(dres1)
     grads[p + "attn.wo"] += dwo
     grads[p + "attn.bo"] += dbo
-    dctx = _split_heads(dctxf, b, L, H, dh)
+    dctx = _split_heads(dctxf, b, Lq, H, dh)
     dattn = dctx @ c.V.swapaxes(-1, -2)
     dV = c.attn_used.swapaxes(-1, -2) @ dctx
     if c.attn_keep is not None:
         dattn = dattn * c.attn_keep
-    (dscores_flat,) = c.sm.backward(dattn.reshape(b * H * L, L))
-    dscores = dscores_flat.reshape(b, H, L, L) * inv_scale
+    (dscores_flat,) = c.sm.backward(dattn.reshape(b * H * Lq, L))
+    dscores = dscores_flat.reshape(b, H, Lq, L) * inv_scale
     dQ = dscores @ c.K
     dK = dscores.swapaxes(-1, -2) @ c.Q
+    dxq, dwq, dbq = c.q_lin.backward(_merge_heads(dQ, b, Lq, H, dh))
+    grads[p + "attn.wq"] += dwq
+    grads[p + "attn.bq"] += dbq
+    dxf = np.zeros((b, L, H * dh))
+    dxf[:, :Lq] = (dres1 + dxq).reshape(b, Lq, H * dh)
+    dxf = dxf.reshape(b * L, H * dh)
     for lin, grad4, wname, bname in (
-        (c.q_lin, dQ, "attn.wq", "attn.bq"),
         (c.k_lin, dK, "attn.wk", "attn.bk"),
         (c.v_lin, dV, "attn.wv", "attn.bv"),
     ):

@@ -43,16 +43,11 @@ def test_gradient_fidelity():
     t0 = time.perf_counter()
     results = gradient_check_suite()
     elapsed = time.perf_counter() - t0
-    by_name = {r.name: r for r in results}
-    op_names = ["matmul", "softmax_rows", "layer_norm", "gelu", "cross_entropy_soft",
-                "mse", "mix_representations"]
-    for name in op_names:
-        assert by_name[name].max_rel_error < 1e-4, f"{name}: {by_name[name].max_rel_error}"
-    for name in ("model_step", "model_step_mixup"):
-        assert by_name[name].max_rel_error < 1e-3, f"{name}: {by_name[name].max_rel_error}"
+    for r in results:
+        assert r.ok, f"{r.name}: {r.max_rel_error:.3e} (tol {r.tolerance:g})"
+        report(f"gradient fidelity: {r.name} {r.max_rel_error:.2e} < {r.tolerance:g}")
     assert elapsed < 60.0
-    worst = max(r.max_rel_error for r in results)
-    report(f"gradient fidelity: ops <1e-4, full step <1e-3 (worst {worst:.2e}, {elapsed:.1f}s)")
+    report(f"gradient fidelity: {len(results)} checks in {elapsed:.1f}s")
 
 
 # ------------------------------------------------------------------ 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,39 @@ from mixformer.model import (
 from mixformer.numerics import DualResult, grad_check
 
 from conftest import text_dataset
+
+
+def full_sequence_pooled(W, ids, mask, n_heads):
+    """Eval-mode pooled output in plain NumPy, every position through every block."""
+    b, L = ids.shape
+    d = W["embed.tok"].shape[1]
+    dh = d // n_heads
+
+    def norm(x, gain, bias):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+
+    def heads(x):
+        return x.reshape(b, L, n_heads, dh).transpose(0, 2, 1, 3)
+
+    pos = np.arange(L)[:, None] / 10000.0 ** (np.arange(0, d, 2)[None, :] / d)
+    x = W["embed.tok"][ids] * math.sqrt(d)
+    x[:, :, 0::2] += np.sin(pos)
+    x[:, :, 1::2] += np.cos(pos)
+    n_layers = sum(1 for k in W if k.endswith(".attn.wq"))
+    for i in range(n_layers):
+        p = f"layer{i}."
+        q, k, v = (heads(x @ W[p + f"attn.w{t}"] + W[p + f"attn.b{t}"]) for t in "qkv")
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
+        scores = np.where(mask[:, None, None, :] == 1, scores, -np.inf)
+        attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, L, d)
+        x = norm(x + ctx @ W[p + "attn.wo"] + W[p + "attn.bo"], W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
+        u = x @ W[p + "ffn.w1"] + W[p + "ffn.b1"]
+        act = 0.5 * u * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (u + 0.044715 * u**3)))
+        x = norm(x + act @ W[p + "ffn.w2"] + W[p + "ffn.b2"], W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
+    return np.tanh(x[:, 0] @ W["pooler.w"] + W["pooler.b"])
 
 
 class TestConfig:
@@ -108,7 +142,7 @@ class TestEncode:
         assert permuted.tobytes() == pooled[perm].tobytes()
 
     def test_attention_rows_sum_to_one_and_masked_keys_get_nothing(
-        self, tiny_params, tiny_batch, monkeypatch
+        self, tiny_config, tiny_batch, monkeypatch
     ):
         captured = []
         real = model_mod.softmax_rows
@@ -119,12 +153,14 @@ class TestEncode:
             return out
 
         monkeypatch.setattr(model_mod, "softmax_rows", capturing_softmax)
-        encode(tiny_params, tiny_batch)
-        (weights,) = captured  # one layer: [b * heads * query, key]
-        attn = weights.reshape(2, 2, 4, 4)  # [b, heads, query, key]
-        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
-        masked = attn[1, :, :, 3]  # row 1 position 3 is PAD
-        assert np.all(masked < 1e-30)
+        encode(init_params(replace(tiny_config, n_layers=2)), tiny_batch)
+        first, last = captured  # [b * heads * query, key] per layer
+        # Layer 0 attends from every position; the last layer from position 0 only.
+        for weights, n_query in ((first, 4), (last, 1)):
+            attn = weights.reshape(2, 2, n_query, 4)  # [b, heads, query, key]
+            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+            masked = attn[1, :, :, 3]  # row 1 position 3 is PAD
+            assert np.all(masked < 1e-30)
 
     def test_trimmed_batch_matches_padded_batch(self):
         rows = [(i % 2, " ".join(["tok"] * (1 + i % 4) + [f"w{i}"])) for i in range(6)]
@@ -153,10 +189,20 @@ class TestEncode:
 
         monkeypatch.setattr(model_mod, "layer_norm", capturing_layer_norm)
         pooled = encode(tiny_params, tiny_batch).output
-        hidden = captured[-1].reshape(2, 4, 8).copy()  # final hidden states [b, L, d]
-        hidden[:, 1:, :] += 17.0  # perturb every non-CLS final hidden state
+        out = captured[-1]  # the last block's output: position 0 of each row only
+        assert out.shape == (2, 8)
         W = tiny_params.values
-        np.testing.assert_array_equal(np.tanh(hidden[:, 0] @ W["pooler.w"] + W["pooler.b"]), pooled)
+        np.testing.assert_array_equal(np.tanh(out @ W["pooler.w"] + W["pooler.b"]), pooled)
+
+    def test_matches_a_full_sequence_forward(self):
+        cfg = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=6, seed=9)
+        params = init_params(cfg)
+        params.flat[...] = np.random.default_rng(2).uniform(-0.5, 0.5, params.flat.size)
+        ids = np.array([[2, 4, 5, 6, 7, 3], [2, 8, 3, 0, 0, 0], [2, 9, 10, 3, 0, 0]])
+        mask = (ids != 0).astype(np.int64)
+        pooled = encode(params, EncodedBatch(ids, mask, np.zeros((3, 2)))).output
+        expected = full_sequence_pooled(params.values, ids, mask, cfg.n_heads)
+        np.testing.assert_allclose(pooled, expected, rtol=0, atol=1e-12)
 
     def test_token_id_out_of_range(self, tiny_params, tiny_batch):
         bad = EncodedBatch(tiny_batch.token_ids + 100, tiny_batch.attention_mask, tiny_batch.labels)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mixformer.errors import NonFiniteLossError
 from mixformer.metrics import accuracy, matthews_corr, spearman_corr
 from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
-from mixformer.numerics import DualResult, cross_entropy_soft
+from mixformer.numerics import DualResult, cross_entropy_soft, grad_check
 from mixformer.synthetic import SyntheticSpec, default_config, generate
 from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, step_loss, train_step
 
@@ -203,6 +205,34 @@ class TestTrainStep:
         n_params = checks_mod._tiny_setup(mix)[0].flat.size
         assert n_params == 778
         assert counts == {"forward": 2 + 2 * n_params, "backward": 1}
+
+    @pytest.mark.parametrize("head,labels,n_coords", [
+        ("classification", [[1.0, 0.0], [0.0, 1.0]], 1378),
+        ("regression", [[0.2], [1.4]], 1369),
+    ])
+    def test_two_layer_step_with_dropout_and_mixing_passes_gradient_check(
+        self, tiny_config, tiny_batch, head, labels, n_coords
+    ):
+        # The chain between blocks, the last block's position-0 pruning,
+        # dropout's backward and both heads; every evaluation redraws the same
+        # dropout masks from a fresh generator.
+        cfg = replace(tiny_config, n_layers=2, head=head, dropout_rate=0.1)
+        params = init_params(cfg)
+        assert params.flat.size == n_coords
+        batch = EncodedBatch(tiny_batch.token_ids, tiny_batch.attention_mask, np.array(labels))
+        mix_cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
+        plan = MixPlan(0.35, np.array([1, 0]))
+
+        def f(*_):
+            step = step_loss(params, batch, True, mix_cfg, np.random.default_rng(11), plan=plan)
+
+            def backward(g):
+                step.backward(g)
+                return (params.grad,)
+
+            return DualResult(step.output, backward)
+
+        assert grad_check(f, [params.flat], h=1e-5) < 1e-6
 
     def test_consecutive_steps_reuse_the_views_and_overwrite_them(self, tiny_params, tiny_batch):
         cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
