@@ -20,6 +20,7 @@ from .numerics import (
     scalarize,
     softmax_rows,
 )
+from .pool import fork_pool
 from .trainer import step_loss
 
 
@@ -69,7 +70,22 @@ def _model_step_error(mix: bool, h: float) -> float:
 
 
 def gradient_check_suite(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
-    """Run every component check; used by both the CLI and the acceptance tests."""
+    """Run every component check; used by both the CLI and the acceptance tests.
+
+    The two model-step checks take almost all of the evaluations. Each builds
+    its own model and batch and draws nothing from `rng`, so they run in two
+    forked workers while the op checks run here; their results are appended
+    last, as if run in order.
+    """
+    with fork_pool(2) as pool:
+        steps = [pool.submit(_model_step_error, mix, h) for mix in (False, True)]
+        results = _op_checks(seed, h)
+        results.append(CheckResult("model_step", steps[0].result(), 1e-6))
+        results.append(CheckResult("model_step_mixup", steps[1].result(), 1e-6))
+    return results
+
+
+def _op_checks(seed: int, h: float) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -109,7 +125,4 @@ def gradient_check_suite(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
         1e-10,
         probe_shape=(3, 2),
     )
-
-    results.append(CheckResult("model_step", _model_step_error(False, h), 1e-6))
-    results.append(CheckResult("model_step_mixup", _model_step_error(True, h), 1e-6))
     return results

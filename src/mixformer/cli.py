@@ -8,7 +8,6 @@ leaf can be overridden with repeated --set key.path=value flags. Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import difflib
 import hashlib
@@ -25,6 +24,7 @@ from .data import (N_RESERVED, Dataset, LabelClasses, LabelRegression, TaskSpec,
 from .errors import InputError, NonFiniteLossError
 from .mixup import BetaLambda, FixedLambda, MixupConfig
 from .model import ModelConfig, load_params, save_params
+from .pool import fork_pool
 from .trainer import EpochReport, TrainConfig, evaluate, run_training
 
 DEFAULT_FRACTIONS = [i / 10 for i in range(1, 11)]
@@ -169,8 +169,12 @@ def _pairs(keys):
 def _kwargs(node: dict, path: str, cls, keys) -> dict:
     """The values `node` gives for fields of dataclass `cls`, typed by the
     fields; `keys` maps config keys to field names (a tuple when equal). An
-    absent key keeps its field's default; a field without one must be given."""
-    hints, out = get_type_hints(cls), {}
+    absent key keeps its field's default; a field without one must be given.
+
+    Annotations resolve in this module's globals first, because under runpy
+    (`python -m cProfile -m mixformer.cli`) `sys.modules[cls.__module__]` is
+    not this module."""
+    hints, out = get_type_hints(cls, localns=globals()), {}
     for key, name in _pairs(keys):
         if key in node:
             out[name] = _typed(f"{path}.{key}", node[key], hints[name])
@@ -377,9 +381,7 @@ def cmd_sweep(args) -> int:
                 payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
 
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)
-        ) as ex:
+        with fork_pool(args.jobs, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)) as ex:
             outcomes = list(ex.map(_run_sweep_cell, payloads))
     else:
         _init_sweep_worker(train_ds, dev_ds)

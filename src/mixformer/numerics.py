@@ -24,7 +24,7 @@ def as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualResult:
     """Forward output paired with a reverse-mode closure.
 
@@ -143,7 +143,7 @@ def cross_entropy_soft(logits, targets) -> DualResult:
     m = logits.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     logp = logits - lse
-    loss = float(-(targets * logp).sum(axis=1).mean())
+    loss = float((-(targets * logp).sum(axis=1)).sum() / b)  # bitwise .mean(), minus its Python-level wrapper
 
     def backward(g):
         return ((np.exp(logp) - targets) * (float(g) / b),)

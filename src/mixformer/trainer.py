@@ -7,6 +7,7 @@ degenerate endpoint), regardless of dropout.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -57,7 +58,7 @@ class EpochReport:
 
 def _first_nonfinite(named: Sequence[tuple[str, np.ndarray | float]]) -> str | None:
     for name, value in named:
-        if not np.isfinite(value).all():
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             return name
     return None
 

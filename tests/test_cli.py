@@ -2,6 +2,8 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,17 @@ class TestTrain:
                    "--set", "paths.train=/nowhere/gone.tsv", "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "gone.tsv" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:'mixformer.cli' found in sys.modules")
+    def test_runs_as_main_module_under_a_profiler(self, toy_dir, tmp_path, monkeypatch):
+        # `python -m cProfile -m mixformer.cli` executes the module as
+        # __main__ while sys.modules["__main__"] stays the profiler's.
+        monkeypatch.setattr(sys, "argv", ["mixformer", "train", "--config", str(toy_dir / "config.json"),
+                                          "--out", str(tmp_path / "run"), "--set", "train.epochs=1"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("mixformer.cli", run_name="__main__", alter_sys=False)
+        assert excinfo.value.code == 0
+        assert (tmp_path / "run" / "run.json").exists()
 
     def test_seed_flag_beats_config_seed(self, toy_dir, tmp_path):
         out = tmp_path / "seeded"
@@ -242,9 +255,13 @@ class TestSweep:
         assert "learning_rate" in capsys.readouterr().err
 
     def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch):
-        payloads = []
+        payloads, start_methods = [], []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                start_methods.append(mp_context.get_start_method())
+                super().__init__(*args, mp_context=mp_context, **kwargs)
+
             def map(self, fn, *iterables, **kwargs):
                 items = [list(it) for it in iterables]
                 payloads.extend(items[0])
@@ -271,6 +288,7 @@ class TestSweep:
         # The datasets reach the workers through the pool initializer.
         assert len(payloads) == 2
         assert not any(isinstance(x, Dataset) for p in payloads for x in p)
+        assert start_methods == ["fork"]  # named, not left to the platform default
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
