@@ -318,7 +318,7 @@ def cmd_eval(args) -> int:
     model_cfg = cfg.model_config(vocab.size)
     params = load_params(args.params, model_cfg)
     dev_ds = load_tsv(args.dev, cfg.task, vocab, model_cfg.max_len, "dev")
-    result = evaluate(params, dev_ds, cfg.task)
+    result = evaluate(params, dev_ds)
     print(json.dumps({"metric": result.metric_name, "value": result.value, "n": result.n}))
     return 0
 

@@ -112,8 +112,16 @@ class Vocabulary:
         return dict(self.token_to_id)
 
     @classmethod
-    def from_dict(cls, d: dict[str, int]) -> "Vocabulary":
-        return cls({str(k): int(v) for k, v in d.items()})
+    def from_dict(cls, d) -> "Vocabulary":
+        """Inverse of `to_dict`: the ids must be exactly N_RESERVED .. N_RESERVED + n - 1,
+        each used once, as `build_vocab` assigns them."""
+        if not isinstance(d, dict) or not all(type(v) is int for v in d.values()):
+            raise ValueError("a vocabulary must be a JSON object mapping tokens to integer ids")
+        if sorted(d.values()) != list(range(N_RESERVED, N_RESERVED + len(d))):
+            raise ValueError(
+                f"token ids must be exactly {N_RESERVED}..{N_RESERVED + len(d) - 1}, each used once"
+            )
+        return cls(d)
 
 
 def build_vocab(train_corpus: Iterable[str], min_count: int = 1, max_size: int = 50000) -> Vocabulary:
@@ -145,7 +153,6 @@ class Dataset:
     task: TaskSpec
     examples: list[Example]
     split: str
-    max_len: int
 
 
 def _truncate_pair(t1: list[int], t2: list[int], budget: int) -> None:
@@ -262,7 +269,7 @@ def load_tsv(path, task: TaskSpec, vocab: Vocabulary, max_len: int, split: str =
             examples.append(encode_example(vocab, task, s1, s2, raw_label, max_len))
         except ValueError as e:
             raise InputError(f"{path}:{lineno}: {e}") from None
-    return Dataset(task=task, examples=examples, split=split, max_len=max_len)
+    return Dataset(task=task, examples=examples, split=split)
 
 
 def _round_half_up(x: float) -> int:
@@ -296,7 +303,7 @@ def reduce_dataset(ds: Dataset, fraction: float, seed: int) -> Dataset:
         k = max(1, _round_half_up(fraction * len(ds.examples)))
         keep = list(rng.permutation(len(ds.examples))[:k])
     keep.sort()
-    return Dataset(ds.task, [ds.examples[i] for i in keep], ds.split, ds.max_len)
+    return Dataset(ds.task, [ds.examples[i] for i in keep], ds.split)
 
 
 def _labels_array(task: TaskSpec, examples: Sequence[Example]) -> np.ndarray:

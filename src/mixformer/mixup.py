@@ -141,7 +141,6 @@ def mix_representations(h, plan: MixPlan) -> DualResult:
     out = lam * h + (1.0 - lam) * h[plan.perm]
 
     def backward(g):
-        g = as_tensor(g)
         dh = lam * g
         np.add.at(dh, plan.perm, (1.0 - lam) * g)
         return (dh,)

@@ -3,9 +3,10 @@
 The encoder is a fixed feed-forward pipeline: scaled token embeddings plus
 sinusoidal positions, a stack of post-norm self-attention blocks with key-side
 padding masks, then a tanh pooler over the position-0 hidden state. Since the
-pooler reads nothing else, the last block computes position 0 only. Forward
-passes cache the per-op DualResults; encode's backward walks them in reverse
-and accumulates the parameter gradients into `Parameters.grads`.
+pooler reads nothing else, the last block computes position 0 only. Each
+block is a DualResult, like every op inside it; encode's backward walks the
+blocks in reverse and accumulates the parameter gradients into
+`Parameters.grads`.
 """
 
 from __future__ import annotations
@@ -172,24 +173,98 @@ def _merge_heads(x4d: Array, b: int, L: int, H: int, dh: int) -> Array:
     return x4d.transpose(0, 2, 1, 3).reshape(b * L, H * dh)
 
 
-@dataclass
-class _LayerCache:
-    q_lin: DualResult
-    k_lin: DualResult
-    v_lin: DualResult
-    o_lin: DualResult
-    ln1: DualResult
-    f1: DualResult
-    act: DualResult
-    f2: DualResult
-    ln2: DualResult
-    Q: Array
-    K: Array
-    V: Array
-    attn_used: Array
-    attn_keep: Array | None
-    ffn_keep: Array | None
-    sm: DualResult
+def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, p_drop: float,
+           rng: np.random.Generator | None) -> DualResult:
+    """One post-norm block over x [b, L, d]; the output is [b, Lq, d], the
+    block's first Lq query positions. K and V cover all L positions.
+
+    Dropout masks are drawn from `rng` when p_drop > 0, attention's before the
+    FFN's, at the full [b, H, L, L] and [b, L, d] shapes. The backward maps a
+    [b, Lq, d] gradient to (dx,), dx [b, L, d]: the residual and Q paths fill
+    the first Lq positions of every row, the K and V paths all L. It adds the
+    block's parameter gradients into `params.grads`.
+    """
+    W, grads, p = params.values, params.grads, prefix
+    b, L, d = x.shape
+    H = params.config.n_heads
+    dh = d // H
+    inv_scale = 1.0 / math.sqrt(dh)
+    xf = x.reshape(b * L, d)
+    xqf = x[:, :Lq, :].reshape(b * Lq, d)
+    q_lin = _linear(xqf, W[p + "attn.wq"], W[p + "attn.bq"])
+    k_lin = _linear(xf, W[p + "attn.wk"], W[p + "attn.bk"])
+    v_lin = _linear(xf, W[p + "attn.wv"], W[p + "attn.bv"])
+    Q = _split_heads(q_lin.output, b, Lq, H, dh)
+    K = _split_heads(k_lin.output, b, L, H, dh)
+    V = _split_heads(v_lin.output, b, L, H, dh)
+    scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
+    sm = softmax_rows(scores.reshape(b * H * Lq, L))
+    attn = sm.output.reshape(b, H, Lq, L)
+    if p_drop > 0.0:
+        attn_keep = (rng.random((b, H, L, L))[:, :, :Lq] >= p_drop) / (1.0 - p_drop)
+        attn_used = attn * attn_keep
+    else:
+        attn_keep, attn_used = None, attn
+    ctx = attn_used @ V
+    o_lin = _linear(_merge_heads(ctx, b, Lq, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
+    ln1 = layer_norm(xqf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
+    x1f = ln1.output
+    f1 = _linear(x1f, W[p + "ffn.w1"], W[p + "ffn.b1"])
+    act = gelu(f1.output)
+    f2 = _linear(act.output, W[p + "ffn.w2"], W[p + "ffn.b2"])
+    if p_drop > 0.0:
+        ffn_keep = (rng.random((b, L, d))[:, :Lq].reshape(b * Lq, d) >= p_drop) / (1.0 - p_drop)
+        ffn_out = f2.output * ffn_keep
+    else:
+        ffn_keep, ffn_out = None, f2.output
+    ln2 = layer_norm(x1f + ffn_out, W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
+
+    def backward(g):
+        dres2, dg2, db2 = ln2.backward(g.reshape(b * Lq, d))
+        grads[p + "ffn.ln.gain"] += dg2
+        grads[p + "ffn.ln.bias"] += db2
+        dx1f = dres2.copy()
+        dffn = dres2 * ffn_keep if ffn_keep is not None else dres2
+        dact_out, dw2, db2f = f2.backward(dffn)
+        grads[p + "ffn.w2"] += dw2
+        grads[p + "ffn.b2"] += db2f
+        (df1,) = act.backward(dact_out)
+        dx1f_ffn, dw1, db1f = f1.backward(df1)
+        grads[p + "ffn.w1"] += dw1
+        grads[p + "ffn.b1"] += db1f
+        dx1f += dx1f_ffn
+        dres1, dg1, db1 = ln1.backward(dx1f)
+        grads[p + "attn.ln.gain"] += dg1
+        grads[p + "attn.ln.bias"] += db1
+        dctxf, dwo, dbo = o_lin.backward(dres1)
+        grads[p + "attn.wo"] += dwo
+        grads[p + "attn.bo"] += dbo
+        dctx = _split_heads(dctxf, b, Lq, H, dh)
+        dattn = dctx @ V.swapaxes(-1, -2)
+        dV = attn_used.swapaxes(-1, -2) @ dctx
+        if attn_keep is not None:
+            dattn = dattn * attn_keep
+        (dscores_flat,) = sm.backward(dattn.reshape(b * H * Lq, L))
+        dscores = dscores_flat.reshape(b, H, Lq, L) * inv_scale
+        dQ = dscores @ K
+        dK = dscores.swapaxes(-1, -2) @ Q
+        dxq, dwq, dbq = q_lin.backward(_merge_heads(dQ, b, Lq, H, dh))
+        grads[p + "attn.wq"] += dwq
+        grads[p + "attn.bq"] += dbq
+        dxf = np.zeros((b, L, d))
+        dxf[:, :Lq] = (dres1 + dxq).reshape(b, Lq, d)
+        dxf = dxf.reshape(b * L, d)
+        for lin, grad4, wname, bname in (
+            (k_lin, dK, "attn.wk", "attn.bk"),
+            (v_lin, dV, "attn.wv", "attn.bv"),
+        ):
+            dxp, dw, db = lin.backward(_merge_heads(grad4, b, L, H, dh))
+            grads[p + wname] += dw
+            grads[p + bname] += db
+            dxf += dxp
+        return (dxf.reshape(b, L, d),)
+
+    return DualResult(ln2.output.reshape(b, Lq, d), backward)
 
 
 def encode(
@@ -200,21 +275,16 @@ def encode(
 ) -> DualResult:
     """Run the encoder; output is the pooled [b, d_model] representation.
 
-    Earlier blocks compute every position. The last block computes K and V for
-    every position but its queries, attention rows, output projection, layer
-    norms and FFN for position 0 only, the one the pooler reads; its backward
-    scatters the residual and query input gradients into the position-0 rows
-    of a zero [b, L, d_model] gradient and adds the K and V ones over all rows.
+    Earlier blocks compute every position; the last computes position 0 only,
+    the one the pooler reads (see `_block`). Dropout masks are drawn from `rng`
+    only in train mode, block by block at full shapes, so the stream does not
+    depend on the pruning, and are reused exactly in backward.
 
     The returned backward maps an upstream [b, d_model] gradient to the
     encoder's parameter gradients: it overwrites their views in `params.grads`
-    (every name but the head's) and returns nothing. Dropout masks are drawn
-    from `rng` only in train mode, at every block's full [b, H, L, L] and
-    [b, L, d_model] shapes so the stream does not depend on the pruning, and
-    are reused exactly in backward.
+    (every name but the head's) and returns nothing.
     """
     cfg = params.config
-    W = params.values
     ids = np.asarray(batch.token_ids, dtype=np.int64)
     mask = np.asarray(batch.attention_mask, dtype=np.int64)
     if ids.ndim != 2 or mask.shape != ids.shape:
@@ -226,123 +296,35 @@ def encode(
     b, L = ids.shape
     if L > cfg.max_len:
         raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    d, H = cfg.d_model, cfg.n_heads
-    dh = d // H
+    d = cfg.d_model
     p_drop = cfg.dropout_rate if train_mode else 0.0
     if p_drop > 0.0 and rng is None:
         raise ValueError("train-mode dropout requires an rng")
 
     emb_scale = math.sqrt(d)
-    x = W["embed.tok"][ids] * emb_scale + sinusoidal_positions(L, d)
+    x = params.values["embed.tok"][ids] * emb_scale + sinusoidal_positions(L, d)
     key_bias = (1.0 - mask.astype(np.float64))[:, None, None, :] * MASKED_SCORE
-    inv_scale = 1.0 / math.sqrt(dh)
-
-    caches: list[_LayerCache] = []
+    blocks: list[DualResult] = []
     for i in range(cfg.n_layers):
-        p = f"layer{i}."
         Lq = 1 if i == cfg.n_layers - 1 else L  # query positions this block computes
-        xf = x.reshape(b * L, d)
-        xqf = x[:, :Lq, :].reshape(b * Lq, d)
-        q_lin = _linear(xqf, W[p + "attn.wq"], W[p + "attn.bq"])
-        k_lin = _linear(xf, W[p + "attn.wk"], W[p + "attn.bk"])
-        v_lin = _linear(xf, W[p + "attn.wv"], W[p + "attn.bv"])
-        Q = _split_heads(q_lin.output, b, Lq, H, dh)
-        K = _split_heads(k_lin.output, b, L, H, dh)
-        V = _split_heads(v_lin.output, b, L, H, dh)
-        scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
-        sm = softmax_rows(scores.reshape(b * H * Lq, L))
-        attn = sm.output.reshape(b, H, Lq, L)
-        if p_drop > 0.0:
-            attn_keep = (rng.random((b, H, L, L))[:, :, :Lq] >= p_drop) / (1.0 - p_drop)
-            attn_used = attn * attn_keep
-        else:
-            attn_keep, attn_used = None, attn
-        ctx = attn_used @ V
-        o_lin = _linear(_merge_heads(ctx, b, Lq, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
-        ln1 = layer_norm(xqf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
-        x1f = ln1.output
-        f1 = _linear(x1f, W[p + "ffn.w1"], W[p + "ffn.b1"])
-        act = gelu(f1.output)
-        f2 = _linear(act.output, W[p + "ffn.w2"], W[p + "ffn.b2"])
-        if p_drop > 0.0:
-            ffn_keep = (rng.random((b, L, d))[:, :Lq].reshape(b * Lq, d) >= p_drop) / (1.0 - p_drop)
-            ffn_out = f2.output * ffn_keep
-        else:
-            ffn_keep, ffn_out = None, f2.output
-        ln2 = layer_norm(x1f + ffn_out, W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
-        x = ln2.output.reshape(b, Lq, d)
-        caches.append(
-            _LayerCache(q_lin, k_lin, v_lin, o_lin, ln1, f1, act, f2, ln2,
-                        Q, K, V, attn_used, attn_keep, ffn_keep, sm)
-        )
+        blocks.append(_block(params, f"layer{i}.", x, key_bias, Lq, p_drop, rng))
+        x = blocks[-1].output
 
-    pool_lin = _linear(x[:, 0, :], W["pooler.w"], W["pooler.b"])
+    pool_lin = _linear(x[:, 0, :], params.values["pooler.w"], params.values["pooler.b"])
     pooled = np.tanh(pool_lin.output)
 
     def backward(g):
-        g = np.asarray(g, dtype=np.float64)
         grads = params.grads
         params.grad[: -(d + 1) * cfg.out_dim] = 0.0  # all but head.w and head.b, the last two
         dh0, dwp, dbp = pool_lin.backward(g * (1.0 - pooled * pooled))
         grads["pooler.w"] += dwp
         grads["pooler.b"] += dbp
         dx = dh0.reshape(b, 1, d)  # the last block's output covers position 0 only
-        for i in reversed(range(cfg.n_layers)):
-            dx = _layer_backward(caches[i], dx, grads, f"layer{i}.", b, L, H, dh, inv_scale)
+        for block in reversed(blocks):
+            (dx,) = block.backward(dx)
         np.add.at(grads["embed.tok"], ids.reshape(-1), dx.reshape(-1, d) * emb_scale)
 
     return DualResult(pooled, backward)
-
-
-def _layer_backward(c: _LayerCache, dx, grads, p, b, L, H, dh, inv_scale):
-    """Backward of one block: dx is [b, Lq, d] for its Lq query positions; the
-    input gradient returned is [b, L, d], with the residual and Q paths in the
-    first Lq positions of every row and the K and V paths over all L."""
-    Lq = c.Q.shape[2]
-    dx2f = dx.reshape(b * Lq, H * dh)
-    dres2, dg2, db2 = c.ln2.backward(dx2f)
-    grads[p + "ffn.ln.gain"] += dg2
-    grads[p + "ffn.ln.bias"] += db2
-    dx1f = dres2.copy()
-    dffn = dres2 * c.ffn_keep if c.ffn_keep is not None else dres2
-    dact_out, dw2, db2f = c.f2.backward(dffn)
-    grads[p + "ffn.w2"] += dw2
-    grads[p + "ffn.b2"] += db2f
-    (df1,) = c.act.backward(dact_out)
-    dx1f_ffn, dw1, db1f = c.f1.backward(df1)
-    grads[p + "ffn.w1"] += dw1
-    grads[p + "ffn.b1"] += db1f
-    dx1f += dx1f_ffn
-    dres1, dg1, db1 = c.ln1.backward(dx1f)
-    grads[p + "attn.ln.gain"] += dg1
-    grads[p + "attn.ln.bias"] += db1
-    dctxf, dwo, dbo = c.o_lin.backward(dres1)
-    grads[p + "attn.wo"] += dwo
-    grads[p + "attn.bo"] += dbo
-    dctx = _split_heads(dctxf, b, Lq, H, dh)
-    dattn = dctx @ c.V.swapaxes(-1, -2)
-    dV = c.attn_used.swapaxes(-1, -2) @ dctx
-    if c.attn_keep is not None:
-        dattn = dattn * c.attn_keep
-    (dscores_flat,) = c.sm.backward(dattn.reshape(b * H * Lq, L))
-    dscores = dscores_flat.reshape(b, H, Lq, L) * inv_scale
-    dQ = dscores @ c.K
-    dK = dscores.swapaxes(-1, -2) @ c.Q
-    dxq, dwq, dbq = c.q_lin.backward(_merge_heads(dQ, b, Lq, H, dh))
-    grads[p + "attn.wq"] += dwq
-    grads[p + "attn.bq"] += dbq
-    dxf = np.zeros((b, L, H * dh))
-    dxf[:, :Lq] = (dres1 + dxq).reshape(b, Lq, H * dh)
-    dxf = dxf.reshape(b * L, H * dh)
-    for lin, grad4, wname, bname in (
-        (c.k_lin, dK, "attn.wk", "attn.bk"),
-        (c.v_lin, dV, "attn.wv", "attn.bv"),
-    ):
-        dxp, dw, db = lin.backward(_merge_heads(grad4, b, L, H, dh))
-        grads[p + wname] += dw
-        grads[p + bname] += db
-        dxf += dxp
-    return dxf.reshape(b, L, H * dh)
 
 
 def head_forward(params: Parameters, pooled) -> DualResult:
@@ -356,9 +338,7 @@ def head_forward(params: Parameters, pooled) -> DualResult:
     lin = _linear(pooled, params.values["head.w"], params.values["head.b"])
 
     def backward(g):
-        dp, params.grads["head.w"][...], params.grads["head.b"][...] = lin.backward(
-            np.asarray(g, dtype=np.float64)
-        )
+        dp, params.grads["head.w"][...], params.grads["head.b"][...] = lin.backward(g)
         return dp
 
     return DualResult(lin.output, backward)

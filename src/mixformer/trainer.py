@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, TaskSpec, batches
+from .data import Dataset, batches
 from .errors import NonFiniteLossError
 from .metrics import EvalResult, accuracy, matthews_corr, spearman_corr
 from .mixup import FixedLambda, MixPlan, MixupConfig, is_active, make_plan, mix_labels, mix_representations
@@ -195,23 +195,26 @@ def _lambda_tag(mix_active: bool, config: MixupConfig) -> float | str:
     return f"beta({pol.alpha:g})"
 
 
-def evaluate(params: Parameters, dev_ds: Dataset, task: TaskSpec, batch_size: int = 32) -> EvalResult:
+EVAL_BATCH_SIZE = 32
+
+
+def evaluate(params: Parameters, dev_ds: Dataset) -> EvalResult:
     """Forward-only pass (no dropout, no mixing); dispatches to the task metric.
 
     Rows are batched in order of real length (a stable sort), so each batch is
-    trimmed to about its rows' own width instead of the longest of 32 rows in
-    dataset order. Outputs are put back in dataset order before the metric, so
-    it sums in the same order as an unsorted pass. A row's outputs may differ
-    from that pass in the last bits, because the batch width changes the order
-    of the attention sums.
+    trimmed to about its rows' own width instead of the longest of
+    EVAL_BATCH_SIZE rows in dataset order. Outputs are put back in dataset
+    order before the metric, so it sums in the same order as an unsorted pass.
+    A row's outputs may differ from that pass in the last bits, because the
+    batch width changes the order of the attention sums.
     """
-    examples = dev_ds.examples
+    examples, task = dev_ds.examples, dev_ds.task
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
     order = np.argsort([np.count_nonzero(ex.mask) for ex in examples], kind="stable")
-    by_length = Dataset(dev_ds.task, [examples[i] for i in order], dev_ds.split, dev_ds.max_len)
+    by_length = Dataset(task, [examples[i] for i in order], dev_ds.split)
     outs = []
-    for batch in batches(by_length, batch_size):
+    for batch in batches(by_length, EVAL_BATCH_SIZE):
         pooled = encode(params, batch, train_mode=False).output
         outs.append(head_forward(params, pooled).output)
     out = np.concatenate(outs)[np.argsort(order)]
@@ -262,7 +265,7 @@ def run_training(
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(f"epoch {epoch}, step {step}: {e}") from None
             losses.append(loss)
-        dev_metric = evaluate(params, dev_ds, dev_ds.task)
+        dev_metric = evaluate(params, dev_ds)
         reports.append(
             EpochReport(
                 epoch=epoch,

@@ -25,4 +25,4 @@ def text_dataset(rows, task: TaskSpec, max_len: int = 16, split: str = "train", 
     if vocab is None:
         vocab = build_vocab([s for _, s in rows])
     examples = [encode_example(vocab, task, s, None, lab, max_len) for lab, s in rows]
-    return Dataset(task=task, examples=examples, split=split, max_len=max_len), vocab
+    return Dataset(task=task, examples=examples, split=split), vocab

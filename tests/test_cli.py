@@ -136,7 +136,7 @@ class TestEval:
         out = tmp_path / "run"
         main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL])
         vocab = read_json(out / "vocab.json")
-        smaller = dict(list(vocab.items())[:-3])
+        smaller = {tok: i for tok, i in vocab.items() if i < len(vocab) + 1}  # drop the 3 highest ids
         small_path = tmp_path / "small-vocab.json"
         small_path.write_text(json.dumps(smaller))
         capsys.readouterr()
@@ -146,6 +146,23 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert "embed.tok" in err and "expected" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda v: sorted(v),  # a JSON list, not an object
+        lambda v: {**v, next(iter(v)): 1000000},  # an id far past the embedding table
+        lambda v: {**v, next(iter(v)): v[list(v)[1]]},  # two tokens share one id
+    ], ids=["list", "id-out-of-range", "shared-id"])
+    def test_malformed_vocab_exits_2(self, toy_dir, tmp_path, capsys, corrupt):
+        out = tmp_path / "run"
+        main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL])
+        bad_path = tmp_path / "bad-vocab.json"
+        bad_path.write_text(json.dumps(corrupt(read_json(out / "vocab.json"))))
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(toy_dir / "config.json"), *SMALL_MODEL,
+                   "--params", str(out / "params.mixf"), "--vocab", str(bad_path),
+                   "--dev", str(toy_dir / "dev.tsv")])
+        assert rc == 2
+        assert "bad vocab file" in capsys.readouterr().err
 
     def test_empty_dev_exits_2(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -178,7 +178,7 @@ def make_classification_dataset(n0: int, n1: int, max_len: int = 6) -> Dataset:
     vocab = build_vocab(["w"])
     examples = [encode_example(vocab, SINGLE, f"w{i}", None, 0, max_len) for i in range(n0)]
     examples += [encode_example(vocab, SINGLE, f"w{i}", None, 1, max_len) for i in range(n1)]
-    return Dataset(SINGLE, examples, "train", max_len)
+    return Dataset(SINGLE, examples, "train")
 
 
 class TestReduceDataset:
@@ -196,7 +196,7 @@ class TestReduceDataset:
     def test_same_seed_same_subset_different_seed_differs(self):
         vocab = build_vocab([f"tok{i}" for i in range(1000)])
         examples = [encode_example(vocab, SINGLE, f"tok{i}", None, i % 2, 6) for i in range(1000)]
-        ds = Dataset(SINGLE, examples, "train", 6)
+        ds = Dataset(SINGLE, examples, "train")
         a = reduce_dataset(ds, 0.1, seed=1)
         b = reduce_dataset(ds, 0.1, seed=1)
         c = reduce_dataset(ds, 0.1, seed=2)
@@ -219,7 +219,7 @@ class TestReduceDataset:
     def test_regression_uniform_sample(self):
         vocab = build_vocab(["w"])
         examples = [encode_example(vocab, REG, f"t{i}", None, float(i % 5), 6) for i in range(100)]
-        ds = Dataset(REG, examples, "train", 6)
+        ds = Dataset(REG, examples, "train")
         red = reduce_dataset(ds, 0.25, seed=0)
         assert len(red.examples) == 25
 
@@ -229,7 +229,7 @@ class TestReduceDataset:
             reduce_dataset(ds, 0.0, seed=0)
         with pytest.raises(ValueError, match="fraction"):
             reduce_dataset(ds, 1.1, seed=0)
-        dev = Dataset(SINGLE, ds.examples, "dev", ds.max_len)
+        dev = Dataset(SINGLE, ds.examples, "dev")
         with pytest.raises(ValueError, match="train split"):
             reduce_dataset(dev, 0.5, seed=0)
 
@@ -255,7 +255,7 @@ class TestBatches:
         vocab = build_vocab(["a b c d e f g"])
         texts = [" ".join("abcdefg"[: 1 + (i * 5) % 7]) for i in range(11)]
         examples = [encode_example(vocab, SINGLE, t, None, i % 2, 12) for i, t in enumerate(texts)]
-        ds = Dataset(SINGLE, examples, "train", 12)
+        ds = Dataset(SINGLE, examples, "train")
         start = 0
         for batch in batches(ds, 3):
             rows = ds.examples[start : start + len(batch.token_ids)]
@@ -277,16 +277,20 @@ class TestBatches:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.token_ids, y.token_ids)
 
-    def test_one_hot_labels(self):
-        ds = make_classification_dataset(2, 2)
-        batch = batches(ds, 4)[0]
-        np.testing.assert_array_equal(batch.labels, [[1, 0], [1, 0], [0, 1], [0, 1]])
-        np.testing.assert_allclose(batch.labels.sum(axis=1), 1.0)
+    @pytest.mark.parametrize("n_classes", [2, 3, 5, 10])
+    def test_one_hot_labels(self, n_classes):
+        task = TaskSpec("multi", "single", LabelClasses(n_classes), "accuracy", 1, 0)
+        vocab = build_vocab(["w"])
+        labels = [(3 * i) % n_classes for i in range(2 * n_classes + 1)]
+        examples = [encode_example(vocab, task, "w", None, lab, 6) for lab in labels]
+        batch = batches(Dataset(task, examples, "train"), len(labels))[0]
+        np.testing.assert_array_equal(batch.labels, np.eye(n_classes)[labels])
+        assert (batch.labels.sum(axis=1) == 1.0).all()
 
     def test_regression_labels_column(self):
         vocab = build_vocab(["w"])
         examples = [encode_example(vocab, REG, "w", None, float(i), 6) for i in range(3)]
-        ds = Dataset(REG, examples, "train", 6)
+        ds = Dataset(REG, examples, "train")
         batch = batches(ds, 4)[0]
         np.testing.assert_array_equal(batch.labels, [[0.0], [1.0], [2.0]])
 

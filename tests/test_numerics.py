@@ -148,14 +148,6 @@ class TestCrossEntropySoft:
         split = lam * cross_entropy_soft(z, p).output + (1 - lam) * cross_entropy_soft(z, q).output
         assert abs(mixed - split) < 1e-12
 
-    def test_rejects_non_distribution_target(self):
-        with pytest.raises(ValueError, match="distribution"):
-            cross_entropy_soft(np.zeros((1, 3)), np.array([[0.5, 0.2, 0.2]]))
-
-    def test_rejects_out_of_range_entries(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            cross_entropy_soft(np.zeros((1, 2)), np.array([[1.5, -0.5]]))
-
     def test_gradient_matches_finite_differences(self):
         z = RNG.uniform(-2, 2, (3, 4))
         targets = random_distributions(RNG, (3, 4))

@@ -9,7 +9,7 @@ from mixformer.cli import load_config
 from mixformer.data import LabelClasses, LabelRegression, TaskSpec, batches
 from mixformer.errors import NonFiniteLossError
 from mixformer.metrics import accuracy, matthews_corr, spearman_corr
-from mixformer.mixup import FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
+from mixformer.mixup import BetaLambda, FixedLambda, MixPlan, MixupConfig, mix_labels, mix_representations
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from mixformer.numerics import DualResult, cross_entropy_soft, grad_check
 from mixformer.synthetic import SyntheticSpec, default_config, generate
@@ -287,6 +287,26 @@ class TestRunTraining:
         assert [r.mixup_active for r in reports] == [False, True, True]
         assert [r.lambda_used for r in reports] == [1.0, 0.5, 0.5]
 
+    @pytest.mark.parametrize("policy", [FixedLambda(0.3), BetaLambda(0.4)], ids=["fixed", "beta"])
+    def test_loss_targets_are_distributions(self, policy, monkeypatch):
+        # cross_entropy_soft does not check its targets: batches and mix_labels
+        # must hand it distributions, the short last batch included.
+        train_ds, dev_ds, vocab = quick_task_data(n_train=45, n_dev=16)
+        seen = []
+
+        def recording_loss(logits, targets):
+            seen.append(np.array(targets))
+            return cross_entropy_soft(logits, targets)
+
+        monkeypatch.setattr(trainer_mod, "cross_entropy_soft", recording_loss)
+        mixup = MixupConfig(lambda_policy=policy, schedule="always")
+        run_training(quick_model_config(vocab), quick_train_config(epochs=2, mixup=mixup), train_ds, dev_ds)
+        assert len(seen) == 12 and [t.shape[0] for t in seen[:6]] == [8] * 5 + [5]
+        assert any(((t > 0.0) & (t < 1.0)).any() for t in seen)  # mixing made soft rows
+        for t in seen:
+            np.testing.assert_allclose(t.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (t >= 0.0).all() and (t <= 1.0).all()
+
     def test_deterministic_given_seed(self):
         train_ds, dev_ds, vocab = quick_task_data(n_train=48, n_dev=16)
         mcfg, tcfg = quick_model_config(vocab, dropout=0.1), quick_train_config(mixup=MixupConfig())
@@ -389,7 +409,7 @@ class TestRunTraining:
     def test_task_mismatch_rejected(self):
         train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=16)
         other = TaskSpec("other", "single", LabelRegression(0, 1), "spearman", 1, 0)
-        dev_ds2 = type(dev_ds)(other, dev_ds.examples, "dev", dev_ds.max_len)
+        dev_ds2 = type(dev_ds)(other, dev_ds.examples, "dev")
         with pytest.raises(ValueError, match="share a task"):
             run_training(quick_model_config(vocab), quick_train_config(), train_ds, dev_ds2)
 
@@ -400,7 +420,7 @@ class TestEvaluate:
         values = []
         for seed in range(5):
             params = init_params(quick_model_config(vocab, seed=seed))
-            values.append(evaluate(params, dev_ds, dev_ds.task).value)
+            values.append(evaluate(params, dev_ds).value)
         # 5 seeds x 240 balanced examples: 3 sigma of a fair coin mean
         sigma = (0.25 / (5 * 240)) ** 0.5
         assert abs(np.mean(values) - 0.5) < max(3 * sigma, 0.05)
@@ -408,7 +428,7 @@ class TestEvaluate:
     def test_repeatable(self, tiny_params):
         train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=32)
         params = init_params(quick_model_config(vocab))
-        assert evaluate(params, dev_ds, dev_ds.task) == evaluate(params, dev_ds, dev_ds.task)
+        assert evaluate(params, dev_ds) == evaluate(params, dev_ds)
 
     def test_metric_dispatch(self):
         reg_task = TaskSpec("reg", "single", LabelRegression(0.0, 4.0), "spearman", 1, 0)
@@ -416,14 +436,14 @@ class TestEvaluate:
         reg_ds, vocab = text_dataset(rows, reg_task, split="dev")
         cfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1,
                           d_ff=16, max_len=16, head="regression", seed=0)
-        assert evaluate(init_params(cfg), reg_ds, reg_task).metric_name == "spearman"
+        assert evaluate(init_params(cfg), reg_ds).metric_name == "spearman"
 
         mcc_task = TaskSpec("cola-like", "single", LabelClasses(2), "matthews", 1, 0)
         rows = [(i % 2, f"word{i % 7} filler") for i in range(20)]
         mcc_ds, vocab2 = text_dataset(rows, mcc_task, split="dev")
         cfg2 = ModelConfig(vocab_size=vocab2.size, d_model=8, n_heads=2, n_layers=1,
                            d_ff=16, max_len=16, seed=0)
-        assert evaluate(init_params(cfg2), mcc_ds, mcc_task).metric_name == "matthews"
+        assert evaluate(init_params(cfg2), mcc_ds).metric_name == "matthews"
 
     @pytest.mark.parametrize("metric", ["accuracy", "matthews", "spearman"])
     def test_length_order_leaves_metric_bit_identical(self, metric, monkeypatch):
@@ -466,7 +486,7 @@ class TestEvaluate:
             return out
 
         monkeypatch.setattr(trainer_mod, "batches", recording_batches)
-        result = evaluate(params, ds, task)
+        result = evaluate(params, ds)
         assert result.value == expected and result.n == 90
         evaluated = [int(n) for b in seen for n in b.attention_mask.sum(axis=1)]
         assert evaluated == sorted(lengths)
@@ -474,7 +494,7 @@ class TestEvaluate:
 
     def test_empty_dev_rejected(self, tiny_params):
         train_ds, dev_ds, vocab = quick_task_data(n_train=24, n_dev=16)
-        empty = type(dev_ds)(dev_ds.task, [], "dev", dev_ds.max_len)
+        empty = type(dev_ds)(dev_ds.task, [], "dev")
         params = init_params(quick_model_config(vocab))
         with pytest.raises(ValueError, match="empty"):
-            evaluate(params, empty, dev_ds.task)
+            evaluate(params, empty)
