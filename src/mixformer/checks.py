@@ -10,7 +10,6 @@ import numpy as np
 from .mixup import FixedLambda, MixPlan, MixupConfig, mix_representations
 from .model import EncodedBatch, ModelConfig, init_params
 from .numerics import (
-    DualResult,
     cross_entropy_soft,
     gelu,
     grad_check,
@@ -54,19 +53,10 @@ def _model_step_error(mix: bool, h: float) -> float:
     params, batch, plan = _tiny_setup(mix)
     mixup_config = MixupConfig(lambda_policy=FixedLambda(0.35))
 
-    # f runs the forward pass only; grad_check calls backward once, on its
-    # unperturbed base evaluation. It perturbs `flat`, which every parameter
-    # view shares, and compares against `grad`, laid out the same way.
-    def f(*_):
-        step = step_loss(params, batch, mix, mixup_config, plan=plan)
-
-        def backward(g):
-            step.backward(g)
-            return (params.grad,)
-
-        return DualResult(step.output, backward)
-
-    return grad_check(f, [params.flat], h=h)
+    # step_loss's backward returns (params.grad,): the gradient of `flat`,
+    # which every parameter view shares and grad_check perturbs. grad_check
+    # calls that backward once, on its unperturbed base evaluation.
+    return grad_check(lambda _: step_loss(params, batch, mix, mixup_config, plan=plan), [params.flat], h=h)
 
 
 def gradient_check_suite(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:

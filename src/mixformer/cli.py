@@ -381,7 +381,9 @@ def cmd_sweep(args) -> int:
                 payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
 
     if args.jobs > 1:
-        with fork_pool(args.jobs, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)) as ex:
+        # A fork pool starts all its workers at once: no more than there are cells.
+        workers = min(args.jobs, len(payloads))
+        with fork_pool(workers, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)) as ex:
             outcomes = list(ex.map(_run_sweep_cell, payloads))
     else:
         _init_sweep_worker(train_ds, dev_ds)

@@ -5,8 +5,10 @@ sinusoidal positions, a stack of post-norm self-attention blocks with key-side
 padding masks, then a tanh pooler over the position-0 hidden state. Since the
 pooler reads nothing else, the last block computes position 0 only. Each
 block is a DualResult, like every op inside it; encode's backward walks the
-blocks in reverse and accumulates the parameter gradients into
-`Parameters.grads`.
+blocks in reverse. Each parameter is read by one op per forward, `_linear` or
+`_norm` (the embedding table by `encode` itself), and that op's backward
+writes its gradient view in `Parameters.grads` in place and returns input
+gradients only.
 """
 
 from __future__ import annotations
@@ -154,15 +156,26 @@ def sinusoidal_positions(length: int, d_model: int) -> Array:
     return enc
 
 
-def _linear(x2d: Array, w: Array, b: Array) -> DualResult:
-    mm = matmul(x2d, w)
-    out = mm.output + b
+def _linear(x2d: Array, params: Parameters, w_name: str, b_name: str) -> DualResult:
+    mm = matmul(x2d, params.values[w_name])
+    out = mm.output + params.values[b_name]
 
     def backward(g):
-        dx, dw = mm.backward(g)
-        return dx, dw, g.sum(axis=0)
+        dx, params.grads[w_name][...] = mm.backward(g)
+        params.grads[b_name][...] = g.sum(axis=0)
+        return (dx,)
 
     return DualResult(out, backward)
+
+
+def _norm(x2d: Array, params: Parameters, prefix: str) -> DualResult:
+    ln = layer_norm(x2d, params.values[prefix + "gain"], params.values[prefix + "bias"])
+
+    def backward(g):
+        dx, params.grads[prefix + "gain"][...], params.grads[prefix + "bias"][...] = ln.backward(g)
+        return (dx,)
+
+    return DualResult(ln.output, backward)
 
 
 def _split_heads(x2d: Array, b: int, L: int, H: int, dh: int) -> Array:
@@ -181,19 +194,20 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
     Dropout masks are drawn from `rng` when p_drop > 0, attention's before the
     FFN's, at the full [b, H, L, L] and [b, L, d] shapes. The backward maps a
     [b, Lq, d] gradient to (dx,), dx [b, L, d]: the residual and Q paths fill
-    the first Lq positions of every row, the K and V paths all L. It adds the
-    block's parameter gradients into `params.grads`.
+    the first Lq positions of every row, the K and V paths all L. It only
+    chains input gradients: the `_linear` and `_norm` ops inside write the
+    block's parameter gradients.
     """
-    W, grads, p = params.values, params.grads, prefix
+    p = prefix
     b, L, d = x.shape
     H = params.config.n_heads
     dh = d // H
     inv_scale = 1.0 / math.sqrt(dh)
     xf = x.reshape(b * L, d)
     xqf = x[:, :Lq, :].reshape(b * Lq, d)
-    q_lin = _linear(xqf, W[p + "attn.wq"], W[p + "attn.bq"])
-    k_lin = _linear(xf, W[p + "attn.wk"], W[p + "attn.bk"])
-    v_lin = _linear(xf, W[p + "attn.wv"], W[p + "attn.bv"])
+    q_lin = _linear(xqf, params, p + "attn.wq", p + "attn.bq")
+    k_lin = _linear(xf, params, p + "attn.wk", p + "attn.bk")
+    v_lin = _linear(xf, params, p + "attn.wv", p + "attn.bv")
     Q = _split_heads(q_lin.output, b, Lq, H, dh)
     K = _split_heads(k_lin.output, b, L, H, dh)
     V = _split_heads(v_lin.output, b, L, H, dh)
@@ -206,62 +220,37 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
     else:
         attn_keep, attn_used = None, attn
     ctx = attn_used @ V
-    o_lin = _linear(_merge_heads(ctx, b, Lq, H, dh), W[p + "attn.wo"], W[p + "attn.bo"])
-    ln1 = layer_norm(xqf + o_lin.output, W[p + "attn.ln.gain"], W[p + "attn.ln.bias"])
+    o_lin = _linear(_merge_heads(ctx, b, Lq, H, dh), params, p + "attn.wo", p + "attn.bo")
+    ln1 = _norm(xqf + o_lin.output, params, p + "attn.ln.")
     x1f = ln1.output
-    f1 = _linear(x1f, W[p + "ffn.w1"], W[p + "ffn.b1"])
+    f1 = _linear(x1f, params, p + "ffn.w1", p + "ffn.b1")
     act = gelu(f1.output)
-    f2 = _linear(act.output, W[p + "ffn.w2"], W[p + "ffn.b2"])
+    f2 = _linear(act.output, params, p + "ffn.w2", p + "ffn.b2")
     if p_drop > 0.0:
         ffn_keep = (rng.random((b, L, d))[:, :Lq].reshape(b * Lq, d) >= p_drop) / (1.0 - p_drop)
         ffn_out = f2.output * ffn_keep
     else:
         ffn_keep, ffn_out = None, f2.output
-    ln2 = layer_norm(x1f + ffn_out, W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
+    ln2 = _norm(x1f + ffn_out, params, p + "ffn.ln.")
 
     def backward(g):
-        dres2, dg2, db2 = ln2.backward(g.reshape(b * Lq, d))
-        grads[p + "ffn.ln.gain"] += dg2
-        grads[p + "ffn.ln.bias"] += db2
-        dx1f = dres2.copy()
-        dffn = dres2 * ffn_keep if ffn_keep is not None else dres2
-        dact_out, dw2, db2f = f2.backward(dffn)
-        grads[p + "ffn.w2"] += dw2
-        grads[p + "ffn.b2"] += db2f
-        (df1,) = act.backward(dact_out)
-        dx1f_ffn, dw1, db1f = f1.backward(df1)
-        grads[p + "ffn.w1"] += dw1
-        grads[p + "ffn.b1"] += db1f
-        dx1f += dx1f_ffn
-        dres1, dg1, db1 = ln1.backward(dx1f)
-        grads[p + "attn.ln.gain"] += dg1
-        grads[p + "attn.ln.bias"] += db1
-        dctxf, dwo, dbo = o_lin.backward(dres1)
-        grads[p + "attn.wo"] += dwo
-        grads[p + "attn.bo"] += dbo
-        dctx = _split_heads(dctxf, b, Lq, H, dh)
+        (dres2,) = ln2.backward(g.reshape(b * Lq, d))
+        (dact_out,) = f2.backward(dres2 * ffn_keep if ffn_keep is not None else dres2)
+        (dx1f_ffn,) = f1.backward(act.backward(dact_out)[0])
+        (dres1,) = ln1.backward(dres2 + dx1f_ffn)
+        dctx = _split_heads(o_lin.backward(dres1)[0], b, Lq, H, dh)
         dattn = dctx @ V.swapaxes(-1, -2)
         dV = attn_used.swapaxes(-1, -2) @ dctx
         if attn_keep is not None:
             dattn = dattn * attn_keep
         (dscores_flat,) = sm.backward(dattn.reshape(b * H * Lq, L))
         dscores = dscores_flat.reshape(b, H, Lq, L) * inv_scale
-        dQ = dscores @ K
-        dK = dscores.swapaxes(-1, -2) @ Q
-        dxq, dwq, dbq = q_lin.backward(_merge_heads(dQ, b, Lq, H, dh))
-        grads[p + "attn.wq"] += dwq
-        grads[p + "attn.bq"] += dbq
+        (dxq,) = q_lin.backward(_merge_heads(dscores @ K, b, Lq, H, dh))
         dxf = np.zeros((b, L, d))
         dxf[:, :Lq] = (dres1 + dxq).reshape(b, Lq, d)
         dxf = dxf.reshape(b * L, d)
-        for lin, grad4, wname, bname in (
-            (k_lin, dK, "attn.wk", "attn.bk"),
-            (v_lin, dV, "attn.wv", "attn.bv"),
-        ):
-            dxp, dw, db = lin.backward(_merge_heads(grad4, b, L, H, dh))
-            grads[p + wname] += dw
-            grads[p + bname] += db
-            dxf += dxp
+        dxf += k_lin.backward(_merge_heads(dscores.swapaxes(-1, -2) @ Q, b, L, H, dh))[0]
+        dxf += v_lin.backward(_merge_heads(dV, b, L, H, dh))[0]
         return (dxf.reshape(b, L, d),)
 
     return DualResult(ln2.output.reshape(b, Lq, d), backward)
@@ -281,8 +270,8 @@ def encode(
     depend on the pruning, and are reused exactly in backward.
 
     The returned backward maps an upstream [b, d_model] gradient to the
-    encoder's parameter gradients: it overwrites their views in `params.grads`
-    (every name but the head's) and returns nothing.
+    encoder's parameter gradients: the ops that read them overwrite their views
+    in `params.grads` (every name but the head's), and it returns nothing.
     """
     cfg = params.config
     ids = np.asarray(batch.token_ids, dtype=np.int64)
@@ -310,38 +299,29 @@ def encode(
         blocks.append(_block(params, f"layer{i}.", x, key_bias, Lq, p_drop, rng))
         x = blocks[-1].output
 
-    pool_lin = _linear(x[:, 0, :], params.values["pooler.w"], params.values["pooler.b"])
+    pool_lin = _linear(x[:, 0, :], params, "pooler.w", "pooler.b")
     pooled = np.tanh(pool_lin.output)
 
     def backward(g):
-        grads = params.grads
-        params.grad[: -(d + 1) * cfg.out_dim] = 0.0  # all but head.w and head.b, the last two
-        dh0, dwp, dbp = pool_lin.backward(g * (1.0 - pooled * pooled))
-        grads["pooler.w"] += dwp
-        grads["pooler.b"] += dbp
+        (dh0,) = pool_lin.backward(g * (1.0 - pooled * pooled))
         dx = dh0.reshape(b, 1, d)  # the last block's output covers position 0 only
         for block in reversed(blocks):
             (dx,) = block.backward(dx)
-        np.add.at(grads["embed.tok"], ids.reshape(-1), dx.reshape(-1, d) * emb_scale)
+        params.grads["embed.tok"][...] = 0.0
+        np.add.at(params.grads["embed.tok"], ids.reshape(-1), dx.reshape(-1, d) * emb_scale)
 
     return DualResult(pooled, backward)
 
 
 def head_forward(params: Parameters, pooled) -> DualResult:
     """Affine task head over pooled vectors; backward writes the head's views in
-    `params.grads` and returns dPooled."""
+    `params.grads` and returns (dpooled,)."""
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.ndim != 2 or pooled.shape[1] != params.config.d_model:
         raise ValueError(
             f"pooled width {pooled.shape} does not match d_model {params.config.d_model}"
         )
-    lin = _linear(pooled, params.values["head.w"], params.values["head.b"])
-
-    def backward(g):
-        dp, params.grads["head.w"][...], params.grads["head.b"][...] = lin.backward(g)
-        return dp
-
-    return DualResult(lin.output, backward)
+    return _linear(pooled, params, "head.w", "head.b")
 
 
 def save_params(params: Parameters, path) -> None:
@@ -356,8 +336,11 @@ def save_params(params: Parameters, path) -> None:
 
 def load_params(path, config: ModelConfig) -> Parameters:
     """Read a parameter file and validate it against the config's shape map."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read params {path}: {e}") from None
     if blob[: len(PARAMS_MAGIC)] != PARAMS_MAGIC:
         raise InputError(f"{path}: bad magic, not a parameter file")
     off = len(PARAMS_MAGIC)

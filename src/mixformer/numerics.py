@@ -33,6 +33,9 @@ class DualResult:
     gradient per differentiable input, each shaped like that input. The
     gradient is not re-checked: inputs are checked once, in the forward call,
     except that `cross_entropy_soft` takes its targets to be distributions.
+    Ops that read model parameters (`model._linear`, `model._norm`) write
+    those parameters' gradients into `Parameters.grads` in place and return
+    input gradients only.
     """
 
     output: Array | float

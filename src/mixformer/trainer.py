@@ -79,7 +79,8 @@ def step_loss(
     maps an upstream scalar gradient to the gradients of all parameters,
     running loss -> head -> mix -> encoder; for a pair it routes gradient
     shares to both members. It overwrites `params.grad` and returns
-    `params.grads`. The backward closures read `params.values` by reference,
+    `(params.grad,)`, the gradient of `params.flat`, its one differentiable
+    input. The backward closures read `params.values` by reference,
     so call it before the parameters change. Pass an explicit `plan` to pin
     the coefficient and pairing (tests, gradient checks).
     """
@@ -112,11 +113,11 @@ def step_loss(
 
     def backward(g):
         (dlogits,) = loss_dual.backward(g)
-        dpooled = head.backward(dlogits)
+        (dpooled,) = head.backward(dlogits)
         if mix is not None:
             (dpooled,) = mix.backward(dpooled)
         enc.backward(dpooled)
-        return params.grads
+        return (params.grad,)
 
     return DualResult(loss, backward)
 
@@ -135,7 +136,8 @@ def train_step(
     The dict's arrays are views into `params.grad`: the next backward overwrites them.
     """
     step = step_loss(params, batch, mix_active, mixup_config, dropout_rng, mixup_rng, plan)
-    return step.output, step.backward(1.0)
+    step.backward(1.0)
+    return step.output, params.grads
 
 
 def adam_update(params: Parameters, step_count: int, config: TrainConfig) -> Parameters:

@@ -164,6 +164,17 @@ class TestEval:
         assert rc == 2
         assert "bad vocab file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params_name", ["missing.mixf", "."], ids=["missing", "directory"])
+    def test_unreadable_params_exits_2(self, toy_dir, tmp_path, capsys, params_name):
+        out = tmp_path / "run"
+        main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL])
+        capsys.readouterr()
+        rc = main(["eval", "--config", str(toy_dir / "config.json"), *SMALL_MODEL,
+                   "--params", str(out / params_name), "--vocab", str(out / "vocab.json"),
+                   "--dev", str(toy_dir / "dev.tsv")])
+        assert rc == 2
+        assert "cannot read params" in capsys.readouterr().err
+
     def test_empty_dev_exits_2(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL])
@@ -272,12 +283,13 @@ class TestSweep:
         assert "learning_rate" in capsys.readouterr().err
 
     def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch):
-        payloads, start_methods = [], []
+        payloads, start_methods, pool_sizes = [], [], []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, mp_context=None, **kwargs):
+            def __init__(self, max_workers=None, mp_context=None, **kwargs):
+                pool_sizes.append(max_workers)
                 start_methods.append(mp_context.get_start_method())
-                super().__init__(*args, mp_context=mp_context, **kwargs)
+                super().__init__(max_workers, mp_context=mp_context, **kwargs)
 
             def map(self, fn, *iterables, **kwargs):
                 items = [list(it) for it in iterables]
@@ -286,7 +298,7 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         csvs, runs = [], []
-        for name, jobs in (("seq", "1"), ("par", "2")):
+        for name, jobs in (("seq", "1"), ("par", "4")):
             out = tmp_path / name
             rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                        "--fractions", "0.5,1.0", "--arms", "baseline", "--seeds", "2",
@@ -306,6 +318,7 @@ class TestSweep:
         assert len(payloads) == 2
         assert not any(isinstance(x, Dataset) for p in payloads for x in p)
         assert start_methods == ["fork"]  # named, not left to the platform default
+        assert pool_sizes == [2]  # --jobs 4 over 2 cells forks only 2 workers
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []

@@ -222,9 +222,13 @@ class TestEncode:
     def test_backward_overwrites_the_encoder_gradients_and_leaves_the_head(self, tiny_params, tiny_batch):
         enc = encode(tiny_params, tiny_batch)
         g = np.random.default_rng(3).uniform(-1, 1, (2, 8))
+        encoder_names = [n for n in tiny_params.grads if not n.startswith("head.")]
+        for name in encoder_names:
+            tiny_params.grads[name][...] = np.nan  # every coordinate must be written, none accumulated
         tiny_params.grads["head.w"][...] = 7.0
         tiny_params.grads["head.b"][...] = 7.0
         enc.backward(g)
+        assert all(np.isfinite(tiny_params.grads[name]).all() for name in encoder_names)
         once = tiny_params.grad.copy()
         enc.backward(g)  # the same gradients again, not doubled ones
         assert tiny_params.grad.tobytes() == once.tobytes()
@@ -247,7 +251,7 @@ class TestEncode:
             return DualResult(value, backward)
 
         err = grad_check(f, [tiny_params.values[n] for n in names], h=1e-5)
-        assert err < 1e-3
+        assert err < 1e-6
 
 
 class TestSinusoidalPositions:

@@ -125,7 +125,8 @@ class TestTrainStep:
         ce = cross_entropy_soft(head.output, tiny_batch.labels)
         assert loss == float(ce.output)
         (dlogits,) = ce.backward(1.0)
-        enc.backward(head.backward(dlogits))
+        (dpooled,) = head.backward(dlogits)
+        enc.backward(dpooled)
         expected = tiny_params.grads
         assert set(grads) == set(expected)
         for name in grads:
@@ -181,7 +182,9 @@ class TestTrainStep:
         grads = {k: g.copy() for k, g in grads.items()}
         step = step_loss(tiny_params, tiny_batch, mix, cfg, plan=plan)
         assert step.output == loss
-        expected = step.backward(1.0)
+        (flat_grad,) = step.backward(1.0)
+        assert flat_grad is tiny_params.grad
+        expected = tiny_params.grads
         assert set(grads) == set(expected) == set(tiny_params.values)
         for name in grads:
             np.testing.assert_array_equal(grads[name], expected[name])
@@ -223,20 +226,16 @@ class TestTrainStep:
         mix_cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
         plan = MixPlan(0.35, np.array([1, 0]))
 
-        def f(*_):
-            step = step_loss(params, batch, True, mix_cfg, np.random.default_rng(11), plan=plan)
-
-            def backward(g):
-                step.backward(g)
-                return (params.grad,)
-
-            return DualResult(step.output, backward)
+        def f(_):
+            return step_loss(params, batch, True, mix_cfg, np.random.default_rng(11), plan=plan)
 
         assert grad_check(f, [params.flat], h=1e-5) < 1e-6
 
     def test_consecutive_steps_reuse_the_views_and_overwrite_them(self, tiny_params, tiny_batch):
         cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
+        tiny_params.grad[...] = np.nan  # every coordinate must be written, none accumulated
         _, first = train_step(tiny_params, tiny_batch, True, cfg, plan=MixPlan(0.35, np.array([1, 0])))
+        assert np.isfinite(tiny_params.grad).all()
         first_values = {k: g.copy() for k, g in first.items()}
         _, second = train_step(tiny_params, tiny_batch, False, NO_MIX)
         assert all(second[name] is first[name] for name in tiny_params.values)
