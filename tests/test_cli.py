@@ -53,6 +53,14 @@ class TestGenSynthetic:
     def test_bad_noise_rejected(self, tmp_path):
         assert main(["gen-synthetic", "--out", str(tmp_path / "x"), "--noise", "0.9"]) == 2
 
+    @pytest.mark.parametrize("under", ["", "x"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
+        out = tmp_path / "afile"
+        out.write_text("taken")
+        assert main(["gen-synthetic", "--out", str(out / under), "--train-size", "20", "--dev-size", "4"]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert out.read_text() == "taken"
+
 
 class TestTrain:
     def test_writes_run_report_with_epoch_entries(self, toy_dir, tmp_path):
@@ -84,6 +92,17 @@ class TestTrain:
             runpy.run_module("mixformer.cli", run_name="__main__", alter_sys=False)
         assert excinfo.value.code == 0
         assert (tmp_path / "run" / "run.json").exists()
+
+    @pytest.mark.parametrize("under", ["", "x"], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_training(self, toy_dir, tmp_path, monkeypatch,
+                                                                     capsys, under):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_execute_run", lambda *args: calls.append(args))
+        out = tmp_path / "afile"
+        out.write_text("taken")
+        rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out / under)])
+        assert rc == 2 and calls == []
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_seed_flag_beats_config_seed(self, toy_dir, tmp_path):
         out = tmp_path / "seeded"
@@ -281,6 +300,16 @@ class TestSweep:
         assert rc == 2
         assert calls == [] and not out.exists()
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_execute_run", lambda *args: calls.append(args))
+        afile = tmp_path / "afile"
+        afile.write_text("taken")
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(afile / "x"),
+                   "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "1"])
+        assert rc == 2 and calls == []
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch):
         payloads, start_methods, pool_sizes = [], [], []
