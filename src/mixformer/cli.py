@@ -12,6 +12,7 @@ import csv
 import ctypes
 import difflib
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
-from . import checks, synthetic
+from . import checks, files, synthetic
 from .data import (N_RESERVED, Dataset, LabelClasses, LabelRegression, TaskSpec, Vocabulary, build_vocab,
                    corpus_texts, load_tsv, reduce_dataset)
 from .errors import InputError, NonFiniteLossError
@@ -282,15 +283,23 @@ def _load_task_data(cfg: RunConfig):
 # ---------------------------------------------------------------- running
 
 
+def _arm(cfg: RunConfig) -> str:
+    return "mixup" if cfg.train.mixup.enabled else "baseline"
+
+
+def _run_id(cfg: RunConfig) -> str:
+    """The run's name, and its file name under a sweep's runs/."""
+    return f"{cfg.task.name}-f{cfg.fraction:g}-{_arm(cfg)}-s{cfg.train.seed}"
+
+
 def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int):
     """One training run of a loaded config; returns (RunReport, Parameters)."""
-    task, seed, fraction = train_ds.task, cfg.train.seed, cfg.fraction
+    task, seed, fraction = cfg.task, cfg.train.seed, cfg.fraction
     reduced = reduce_dataset(train_ds, fraction, seed) if fraction < 1.0 else train_ds
     params, reports = run_training(cfg.model_config(vocab_size), cfg.train, reduced, dev_ds)
-    arm = "mixup" if cfg.train.mixup.enabled else "baseline"
     normalized = normalized_config(cfg)
     report = RunReport(
-        run_id=f"{task.name}-f{fraction:g}-{arm}-s{seed}", task=task.name, fraction=fraction,
+        run_id=_run_id(cfg), task=task.name, fraction=fraction,
         mixup_enabled=cfg.train.mixup.enabled, seed=seed, config=normalized, config_hash=config_hash(normalized),
         vocab_size=vocab_size, metric_name=task.metric, final_metric=reports[-1].dev_metric.value,
         best_metric=max(r.dev_metric.value for r in reports), epochs=reports,
@@ -304,12 +313,9 @@ def cmd_train(args) -> int:
     vocab, train_ds, dev_ds = _load_task_data(cfg)
     _make_out_dir(out_dir)
     report, params = _execute_run(cfg, train_ds, dev_ds, vocab.size)
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(os.path.join(out_dir, "run.json"), asdict(report))
     save_params(params, os.path.join(out_dir, "params.mixf"))
-    with open(os.path.join(out_dir, "vocab.json"), "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_dict(), fh, sort_keys=True)
+    files.write_json(os.path.join(out_dir, "vocab.json"), vocab.to_dict())
     print(f"{report.run_id}: {report.metric_name}={report.final_metric:.4f} "
           f"(best {report.best_metric:.4f}) -> {out_dir}")
     return 0
@@ -332,25 +338,36 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The train and dev datasets shared by every sweep cell in this process. Pool
-# workers get them once, through the initializer (under fork, nothing is
-# pickled); --jobs 1 sets them in-process. Cell payloads then carry only configs.
-_sweep_data: tuple[Dataset, Dataset] | None = None
+# The datasets, vocabulary size and runs/ directory that every sweep cell shares.
+# Pool workers get them once, from the initializer; --jobs 1 sets them
+# in-process. A cell's payload is then its RunConfig alone.
+_sweep_shared: tuple[Dataset, Dataset, int, str] | None = None
 
 
-def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset) -> None:
-    global _sweep_data
-    _sweep_data = (train_ds, dev_ds)
+def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str) -> None:
+    global _sweep_shared
+    _sweep_shared = (train_ds, dev_ds, vocab_size, runs_dir)
 
 
-def _run_sweep_cell(payload):
-    cfg, fraction, arm, seed, vocab_size = payload
-    cell = {"fraction": fraction, "arm": arm, "seed": seed}
+def _run_sweep_cell(cfg: RunConfig):
+    """Train one cell and write its run file: (metric, None), else (None, error) and no file."""
+    train_ds, dev_ds, vocab_size, runs_dir = _sweep_shared
     try:
-        report, _ = _execute_run(cfg, *_sweep_data, vocab_size)
-        return {**cell, "status": "ok", "metric": report.final_metric, "report": asdict(report)}
+        report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size)
+        files.write_json(os.path.join(runs_dir, report.run_id + ".json"), asdict(report))
+        return report.final_metric, None
     except Exception as e:  # a failed cell must not kill the sweep
-        return {**cell, "status": "error", "metric": None, "error": f"{type(e).__name__}: {e}"}
+        return None, f"{type(e).__name__}: {e}"
+
+
+def _sweep_results(cells: list[RunConfig], jobs: int, shared: tuple):
+    """Each cell's (metric, error), in cell order, as it arrives."""
+    if jobs == 1:
+        _init_sweep_worker(*shared)
+        yield from map(_run_sweep_cell, cells)
+    else:  # a fork pool starts all its workers at once: no more than there are cells
+        with fork_pool(min(jobs, len(cells)), initializer=_init_sweep_worker, initargs=shared) as ex:
+            yield from ex.map(_run_sweep_cell, cells)
 
 
 def _parse_list(flag: str, text: str, kind, what: str) -> list:
@@ -371,60 +388,50 @@ def cmd_sweep(args) -> int:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     fractions = (_parse_list("--fractions", args.fractions, float, "numbers")
                  if args.fractions else DEFAULT_FRACTIONS)
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise InputError(f"fractions must lie in (0, 1], got {f}")
     seeds = _parse_list("--seeds", args.seeds, int, "integers") if args.seeds else [cfg.train.seed]
     arms = ["baseline", "mixup"] if args.arms == "both" else [args.arms]
 
+    try:
+        cells = [replace(cfg, fraction=fraction, train=replace(
+                     cfg.train, seed=seed, mixup=replace(cfg.train.mixup, enabled=arm == "mixup")))
+                 for fraction in fractions for arm in arms for seed in seeds]
+    except ValueError as e:
+        raise InputError(f"bad config: {e}") from None
+    first = {}
+    for cell in cells:  # fractions that print alike would share, and overwrite, one run file
+        other = first.setdefault(_run_id(cell), cell)
+        if other.fraction != cell.fraction:
+            raise InputError(f"--fractions {other.fraction!r} and {cell.fraction!r} both name run {_run_id(cell)}")
+
     vocab, train_ds, dev_ds = _load_task_data(cfg)
-    payloads = []
-    for fraction in fractions:
-        for arm in arms:
-            mixup = replace(cfg.train.mixup, enabled=arm == "mixup")
-            for seed in seeds:
-                try:
-                    cell_cfg = replace(cfg, fraction=fraction, train=replace(cfg.train, seed=seed, mixup=mixup))
-                except ValueError as e:
-                    raise InputError(f"bad config: {e}") from None
-                payloads.append((cell_cfg, fraction, arm, seed, vocab.size))
-    _make_out_dir(os.path.join(out_dir, "runs"))
+    runs_dir = os.path.join(out_dir, "runs")
+    _make_out_dir(runs_dir)
+    results, done = _sweep_results(cells, args.jobs, (train_ds, dev_ds, vocab.size, runs_dir)), []
+    for k, (cell, (metric, error)) in enumerate(zip(cells, results), 1):
+        outcome = f"{cfg.task.metric}={metric:.4f}" if error is None else f"failed: {error}"
+        print(f"sweep: {k}/{len(cells)} fraction={cell.fraction:g} arm={_arm(cell)} seed={cell.train.seed} {outcome}",
+              file=sys.stderr)
+        done.append((cell, metric, error))
 
-    if args.jobs > 1:
-        # A fork pool starts all its workers at once: no more than there are cells.
-        workers = min(args.jobs, len(payloads))
-        with fork_pool(workers, initializer=_init_sweep_worker, initargs=(train_ds, dev_ds)) as ex:
-            outcomes = list(ex.map(_run_sweep_cell, payloads))
-    else:
-        _init_sweep_worker(train_ds, dev_ds)
-        outcomes = [_run_sweep_cell(p) for p in payloads]
-
-    for r in outcomes:
-        if r["status"] == "ok":
-            with open(os.path.join(out_dir, "runs", r["report"]["run_id"] + ".json"), "w", encoding="utf-8") as fh:
-                json.dump(r["report"], fh, indent=2, sort_keys=True)
-        else:
-            print(f"cell fraction={r['fraction']:g} arm={r['arm']} seed={r['seed']} failed: {r['error']}",
-                  file=sys.stderr)
-
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["task", "fraction", "arm", "seed", "metric", "status"])
+    for cell, metric, error in done:
+        writer.writerow([cfg.task.name, cell.fraction, _arm(cell), cell.train.seed,
+                         "" if error else repr(metric), "error" if error else "ok"])
+    for fraction in fractions if set(arms) == {"baseline", "mixup"} else []:
+        base, mixed = (
+            [metric for cell, metric, error in done if (cell.fraction, _arm(cell), error) == (fraction, arm, None)]
+            for arm in ("baseline", "mixup")
+        )
+        if base and mixed:
+            delta = sum(mixed) / len(mixed) - sum(base) / len(base)
+            writer.writerow([cfg.task.name, fraction, "delta", "", repr(delta), "ok"])
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "fraction", "arm", "seed", "metric", "status"])
-        for r in outcomes:
-            metric = "" if r["metric"] is None else repr(r["metric"])
-            writer.writerow([cfg.task.name, r["fraction"], r["arm"], r["seed"], metric, r["status"]])
-        for fraction in fractions if set(arms) == {"baseline", "mixup"} else []:
-            base, mixed = (
-                [r["metric"] for r in outcomes if (r["fraction"], r["arm"], r["status"]) == (fraction, arm, "ok")]
-                for arm in ("baseline", "mixup")
-            )
-            if base and mixed:
-                delta = sum(mixed) / len(mixed) - sum(base) / len(base)
-                writer.writerow([cfg.task.name, fraction, "delta", "", repr(delta), "ok"])
-    n_err = sum(1 for r in outcomes if r["status"] == "error")
-    print(f"sweep: {len(outcomes)} cells ({n_err} failed) -> {csv_path}")
-    return 1 if n_err == len(outcomes) else 0
+    files.write(csv_path, table.getvalue())
+    n_err = sum(error is not None for _, _, error in done)
+    print(f"sweep: {len(done)} cells ({n_err} failed) -> {csv_path}")
+    return 1 if n_err == len(done) else 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -451,10 +458,7 @@ def cmd_gen_synthetic(args) -> int:
     config_path = os.path.join(args.out, "config.json")
     synthetic.write_tsv(train_rows, train_path)
     synthetic.write_tsv(dev_rows, dev_path)
-    config = synthetic.default_config(train_path, dev_path, os.path.join(args.out, "run"), args.seed)
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(config_path, synthetic.default_config(train_path, dev_path, os.path.join(args.out, "run"), args.seed))
     print(f"wrote {train_path} ({len(train_rows)} rows), {dev_path} ({len(dev_rows)} rows), {config_path}")
     return 0
 

@@ -8,7 +8,6 @@ to a subset of epochs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -83,39 +82,12 @@ class MixPlan:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
 
 
-def _gamma_variate(alpha: float, rng: np.random.Generator) -> float:
-    """Gamma(alpha, 1) via Marsaglia-Tsang squeeze; alpha < 1 boosted through alpha + 1."""
-    if alpha < 1.0:
-        u = rng.random()
-        return _gamma_variate(alpha + 1.0, rng) * u ** (1.0 / alpha)
-    d = alpha - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u <= 0.0:
-            continue
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
 def sample_lambda(config: MixupConfig, rng: np.random.Generator) -> float:
     """Draw one mixing coefficient; Fixed returns its value verbatim."""
     pol = config.lambda_policy
     if isinstance(pol, FixedLambda):
         return pol.value
-    g1 = _gamma_variate(pol.alpha, rng)
-    g2 = _gamma_variate(pol.alpha, rng)
-    total = g1 + g2
-    if total <= 0.0:  # both draws underflowed; only possible for tiny alpha
-        return 0.5
-    return g1 / total
+    return float(rng.beta(pol.alpha, pol.alpha))
 
 
 def make_plan(batch_size: int, config: MixupConfig, rng: np.random.Generator) -> MixPlan:

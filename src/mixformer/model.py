@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import InputError
 from .numerics import Array, DualResult, gelu, layer_norm, matmul, softmax_rows
 
@@ -327,11 +328,8 @@ def head_forward(params: Parameters, pooled) -> DualResult:
 def save_params(params: Parameters, path) -> None:
     """Write magic, length-prefixed JSON {name: shape}, then raw LE float64 data."""
     header = json.dumps({k: list(v.shape) for k, v in params.values.items()}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(PARAMS_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+    data = params.flat.astype("<f8", copy=False)
+    files.write(path, b"".join((PARAMS_MAGIC, struct.pack("<Q", len(header)), header, data)))
 
 
 def load_params(path, config: ModelConfig) -> Parameters:

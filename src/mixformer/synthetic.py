@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
+
 CLASS_KEYWORDS = (
     ("gloomy", "dreadful", "awful", "tedious", "bleak", "sour", "broken", "dull"),
     ("radiant", "superb", "delightful", "crisp", "vivid", "graceful", "sturdy", "warm"),
@@ -68,10 +70,7 @@ def generate(spec: SyntheticSpec) -> tuple[list[tuple[int, str]], list[tuple[int
 
 
 def write_tsv(rows: list[tuple[int, str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("label\tsentence\n")
-        for label, sentence in rows:
-            fh.write(f"{label}\t{sentence}\n")
+    files.write(path, "label\tsentence\n" + "".join(f"{label}\t{sentence}\n" for label, sentence in rows))
 
 
 def default_config(train_path: str, dev_path: str, out_dir: str, seed: int) -> dict:

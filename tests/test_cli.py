@@ -10,8 +10,7 @@ import pytest
 
 import mixformer.checks as checks_mod
 import mixformer.cli as cli_mod
-from mixformer.cli import DEFAULT_FRACTIONS, config_hash, load_config, main, normalized_config
-from mixformer.data import Dataset
+from mixformer.cli import DEFAULT_FRACTIONS, RunConfig, config_hash, load_config, main, normalized_config
 from mixformer.errors import InputError
 from mixformer.numerics import DualResult
 
@@ -228,12 +227,7 @@ class TestSweep:
     def test_default_fractions_cover_ten_percent_grid(self, toy_dir, tmp_path, monkeypatch):
         assert DEFAULT_FRACTIONS == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
-        def stub(payload):
-            cfg, fraction, arm, seed, *_ = payload
-            return {"fraction": fraction, "arm": arm, "seed": seed, "status": "ok",
-                    "metric": 0.5, "report": {"run_id": f"stub-f{fraction:g}-{arm}-s{seed}"}}
-
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", stub)
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: (0.5, None))
         out = tmp_path / "sweep-default"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--arms", "baseline", "--seeds", "1"])
@@ -290,9 +284,62 @@ class TestSweep:
         statuses = [r["status"] for r in read_sweep_csv(out / "sweep.csv")]
         assert statuses == ["error", "error"]
 
+    def test_one_progress_line_per_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
+        real = cli_mod._execute_run
+
+        def fail_first(cfg, train_ds, dev_ds, vocab_size):
+            if cfg.fraction == 0.5:
+                raise RuntimeError("boom")
+            return real(cfg, train_ds, dev_ds, vocab_size)
+
+        monkeypatch.setattr(cli_mod, "_execute_run", fail_first)
+        out = tmp_path / "x"
+        main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out), "--fractions", "0.5,1.0",
+              "--arms", "mixup", "--seeds", "4", *SMALL_MODEL, "--set", "train.epochs=1"])
+        metric = float(read_sweep_csv(out / "sweep.csv")[1]["metric"])
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: ")]
+        assert lines == [
+            "sweep: 1/2 fraction=0.5 arm=mixup seed=4 failed: RuntimeError: boom",
+            f"sweep: 2/2 fraction=1 arm=mixup seed=4 accuracy={metric:.4f}",
+        ]
+
+    def test_interrupted_sweep_keeps_the_finished_run_files(self, toy_dir, tmp_path, monkeypatch):
+        calls = []
+        real = cli_mod._execute_run
+
+        def interrupted(cfg, train_ds, dev_ds, vocab_size):
+            calls.append(cfg)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(cfg, train_ds, dev_ds, vocab_size)
+
+        monkeypatch.setattr(cli_mod, "_execute_run", interrupted)
+        out = tmp_path / "sweep-interrupted"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                  "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "2", *SMALL_MODEL,
+                  "--set", "train.epochs=1"])
+        assert len(calls) == 3
+        assert sorted(p.name for p in (out / "runs").iterdir()) == [
+            "synthetic-keywords-f0.5-baseline-s2.json", "synthetic-keywords-f0.5-mixup-s2.json",
+        ]
+        for path in (out / "runs").iterdir():
+            assert read_json(path)["run_id"] + ".json" == path.name
+        assert not (out / "sweep.csv").exists()
+
+    def test_fractions_that_name_the_same_run_exit_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_execute_run", lambda *args: calls.append(args))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "0.1,0.1000001", "--arms", "baseline", "--seeds", "1"])
+        assert rc == 2 and calls == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert "0.1 " in err and "0.1000001" in err
+
     def test_bad_shared_config_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: calls.append(cfg) or (0.5, None))
         out = tmp_path / "sweep-bad"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "1",
@@ -343,15 +390,15 @@ class TestSweep:
             runs.append(reports)
         assert csvs[0] == csvs[1]
         assert len(runs[0]) == 2 and runs[0] == runs[1]
-        # The datasets reach the workers through the pool initializer.
+        # The datasets reach the workers through the pool initializer; a payload is one config.
         assert len(payloads) == 2
-        assert not any(isinstance(x, Dataset) for p in payloads for x in p)
+        assert all(type(p) is RunConfig for p in payloads)
         assert start_methods == ["fork"]  # named, not left to the platform default
         assert pool_sizes == [2]  # --jobs 4 over 2 cells forks only 2 workers
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: calls.append(cfg) or (0.5, None))
         out = tmp_path / "x"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--fractions", "1.0", "--seeds", "3,-2"])

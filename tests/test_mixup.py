@@ -45,7 +45,7 @@ class TestSampleLambda:
         expected = beta_variance(alpha)
         assert abs(draws.var() - expected) < 0.1 * expected
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.2, 0.7, 1.0, 3.0])
     def test_always_in_unit_interval(self, alpha):
         cfg = MixupConfig(lambda_policy=BetaLambda(alpha))
         rng = np.random.default_rng(2)
