@@ -8,9 +8,8 @@ leaf can be overridden with repeated --set key.path=value flags. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import ctypes
-import difflib
 import hashlib
 import io
 import json
@@ -20,14 +19,14 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import get_args, get_type_hints
 
-from . import checks, files, synthetic
+from . import files
 from .data import (N_RESERVED, Dataset, LabelClasses, LabelRegression, TaskSpec, Vocabulary, build_vocab,
                    corpus_texts, load_tsv, reduce_dataset)
 from .errors import InputError, NonFiniteLossError
-from .mixup import BetaLambda, FixedLambda, MixupConfig
+from .mixup import BetaLambda, FixedLambda, MixupConfig, epochs_before_mixing
 from .model import ModelConfig, load_params, save_params
 from .pool import fork_pool
-from .trainer import EpochReport, TrainConfig, evaluate, run_training
+from .trainer import EpochReport, TrainConfig, TrainState, evaluate, run_training, start_state
 
 DEFAULT_FRACTIONS = [i / 10 for i in range(1, 11)]
 
@@ -158,6 +157,8 @@ def _section(parent: dict, path: str, valid) -> dict:
     prefix = path + "." if path else ""
     for key in node:
         if key not in valid:
+            import difflib
+
             near = difflib.get_close_matches(key, valid, n=1)
             hint = f"did you mean {prefix}{near[0]}?" if near else f"expected one of {', '.join(valid)}"
             raise InputError(f"unknown config key {prefix}{key}; {hint}")
@@ -292,11 +293,17 @@ def _run_id(cfg: RunConfig) -> str:
     return f"{cfg.task.name}-f{cfg.fraction:g}-{_arm(cfg)}-s{cfg.train.seed}"
 
 
-def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int):
-    """One training run of a loaded config; returns (RunReport, Parameters)."""
+def _training_subset(cfg: RunConfig, train_ds: Dataset) -> Dataset:
+    """The rows a run trains on: the seeded reduction to its fraction."""
+    return reduce_dataset(train_ds, cfg.fraction, cfg.train.seed) if cfg.fraction < 1.0 else train_ds
+
+
+def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int,
+                 state: TrainState | None = None):
+    """One training run of a loaded config on its training subset `train_ds`,
+    continuing `state` when given; returns (RunReport, Parameters)."""
     task, seed, fraction = cfg.task, cfg.train.seed, cfg.fraction
-    reduced = reduce_dataset(train_ds, fraction, seed) if fraction < 1.0 else train_ds
-    params, reports = run_training(cfg.model_config(vocab_size), cfg.train, reduced, dev_ds)
+    params, reports = run_training(cfg.model_config(vocab_size), cfg.train, train_ds, dev_ds, state)
     normalized = normalized_config(cfg)
     report = RunReport(
         run_id=_run_id(cfg), task=task.name, fraction=fraction,
@@ -312,7 +319,7 @@ def cmd_train(args) -> int:
     out_dir = _resolve_out(args, cfg)
     vocab, train_ds, dev_ds = _load_task_data(cfg)
     _make_out_dir(out_dir)
-    report, params = _execute_run(cfg, train_ds, dev_ds, vocab.size)
+    report, params = _execute_run(cfg, _training_subset(cfg, train_ds), dev_ds, vocab.size)
     files.write_json(os.path.join(out_dir, "run.json"), asdict(report))
     save_params(params, os.path.join(out_dir, "params.mixf"))
     files.write_json(os.path.join(out_dir, "vocab.json"), vocab.to_dict())
@@ -340,7 +347,7 @@ def cmd_eval(args) -> int:
 
 # The datasets, vocabulary size and runs/ directory that every sweep cell shares.
 # Pool workers get them once, from the initializer; --jobs 1 sets them
-# in-process. A cell's payload is then its RunConfig alone.
+# in-process. A unit's payload is then its list of RunConfigs alone.
 _sweep_shared: tuple[Dataset, Dataset, int, str] | None = None
 
 
@@ -349,25 +356,81 @@ def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs
     _sweep_shared = (train_ds, dev_ds, vocab_size, runs_dir)
 
 
-def _run_sweep_cell(cfg: RunConfig):
-    """Train one cell and write its run file: (metric, None), else (None, error) and no file."""
-    train_ds, dev_ds, vocab_size, runs_dir = _sweep_shared
+def _failure(e: Exception) -> tuple[None, str]:
+    return None, f"{type(e).__name__}: {e}"
+
+
+def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, state: TrainState | None):
+    """Train one cell on its subset `train_ds`, from `state` when given, and write
+    its run file: (metric, None), else (None, error) and no file."""
+    _, dev_ds, vocab_size, runs_dir = _sweep_shared
     try:
-        report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size)
+        report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size, state)
         files.write_json(os.path.join(runs_dir, report.run_id + ".json"), asdict(report))
         return report.final_metric, None
     except Exception as e:  # a failed cell must not kill the sweep
-        return None, f"{type(e).__name__}: {e}"
+        return _failure(e)
+
+
+def _run_sweep_group(cells: list[RunConfig]):
+    """Train cells that share a fraction and a seed, and differ only in the arm;
+    yield each one's `_run_sweep_cell` outcome as it finishes.
+
+    They train on one subset, and until the mixup arm's first mixing epoch
+    they compute the same thing: same initial weights, shuffles and dropout
+    draws, with the mixing generator not yet drawn from. Those epochs are
+    trained once, and each cell continues from its own copy of that state. A
+    failure there fails every cell of the group.
+    """
+    train_ds, dev_ds, vocab_size, _ = _sweep_shared
+    first = cells[0]
+    try:
+        subset = _training_subset(first, train_ds)
+        states = [None] * len(cells)
+        shared = min(epochs_before_mixing(c.train.epochs, c.train.mixup) for c in cells) if len(cells) > 1 else 0
+        if shared:
+            model_config = first.model_config(vocab_size)
+            state = start_state(model_config, first.train.seed)
+            run_training(model_config, first.train, subset, dev_ds, state, stop=shared)
+            states = [state, *(state.copy() for _ in cells[1:])]
+    except Exception as e:
+        yield from [_failure(e)] * len(cells)
+        return
+    for cell, state in zip(cells, states):
+        yield _run_sweep_cell(cell, subset, state)
+
+
+def _run_sweep_unit(cells: list[RunConfig]) -> list:
+    """`_run_sweep_group` as one pool call."""
+    return list(_run_sweep_group(cells))
+
+
+def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[int]]:
+    """The cell indices of each unit of work: a group per (fraction, seed), or
+    one cell each when there are fewer groups than jobs, so no worker idles."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault((cell.fraction, cell.train.seed), []).append(i)
+    return list(groups.values()) if len(groups) >= jobs else [[i] for i in range(len(cells))]
 
 
 def _sweep_results(cells: list[RunConfig], jobs: int, shared: tuple):
-    """Each cell's (metric, error), in cell order, as it arrives."""
+    """Each cell's (index, (metric, error)), as it arrives."""
+    units = _sweep_units(cells, jobs)
+    payloads = [[cells[i] for i in unit] for unit in units]
     if jobs == 1:
         _init_sweep_worker(*shared)
-        yield from map(_run_sweep_cell, cells)
-    else:  # a fork pool starts all its workers at once: no more than there are cells
-        with fork_pool(min(jobs, len(cells)), initializer=_init_sweep_worker, initargs=shared) as ex:
-            yield from ex.map(_run_sweep_cell, cells)
+        for unit, payload in zip(units, payloads):
+            yield from zip(unit, _run_sweep_group(payload))
+        return
+    # A fork pool starts all its workers at once: no more than there are units.
+    pool = fork_pool(min(jobs, len(units)), initializer=_init_sweep_worker, initargs=shared)
+    try:
+        for unit, outcomes in zip(units, pool.map(_run_sweep_unit, payloads)):
+            yield from zip(unit, outcomes)
+    finally:
+        # After an interrupt, units not yet started are dropped and only the running ones finish.
+        pool.shutdown(cancel_futures=True)
 
 
 def _parse_list(flag: str, text: str, kind, what: str) -> list:
@@ -406,12 +469,16 @@ def cmd_sweep(args) -> int:
     vocab, train_ds, dev_ds = _load_task_data(cfg)
     runs_dir = os.path.join(out_dir, "runs")
     _make_out_dir(runs_dir)
-    results, done = _sweep_results(cells, args.jobs, (train_ds, dev_ds, vocab.size, runs_dir)), []
-    for k, (cell, (metric, error)) in enumerate(zip(cells, results), 1):
-        outcome = f"{cfg.task.metric}={metric:.4f}" if error is None else f"failed: {error}"
-        print(f"sweep: {k}/{len(cells)} fraction={cell.fraction:g} arm={_arm(cell)} seed={cell.train.seed} {outcome}",
-              file=sys.stderr)
-        done.append((cell, metric, error))
+    done = [None] * len(cells)
+    with contextlib.closing(_sweep_results(cells, args.jobs, (train_ds, dev_ds, vocab.size, runs_dir))) as results:
+        for k, (i, (metric, error)) in enumerate(results, 1):
+            cell = cells[i]
+            outcome = f"{cfg.task.metric}={metric:.4f}" if error is None else f"failed: {error}"
+            print(f"sweep: {k}/{len(cells)} fraction={cell.fraction:g} arm={_arm(cell)} seed={cell.train.seed} "
+                  f"{outcome}", file=sys.stderr)
+            done[i] = (cell, metric, error)
+
+    import csv
 
     table = io.StringIO()
     writer = csv.writer(table)
@@ -435,6 +502,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import checks
+
     results = checks.gradient_check_suite()
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: max rel error {r.max_rel_error:.3e} (tol {r.tolerance:g})")
@@ -446,6 +515,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from . import synthetic
+
     try:
         spec = synthetic.SyntheticSpec(
             n_train=args.train_size, n_dev=args.dev_size, noise=args.noise, seed=args.seed

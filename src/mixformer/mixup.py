@@ -140,3 +140,8 @@ def is_active(epoch: int, total_epochs: int, config: MixupConfig) -> bool:
     if s == "last_half":
         return epoch > total_epochs // 2
     return epoch in s
+
+
+def epochs_before_mixing(total_epochs: int, config: MixupConfig) -> int:
+    """How many epochs run before mixing first applies: all of them when it never does."""
+    return next((e - 1 for e in range(1, total_epochs + 1) if is_active(e, total_epochs, config)), total_epochs)

@@ -7,6 +7,7 @@ degenerate endpoint), regardless of dropout.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,6 +45,9 @@ class TrainConfig:
             raise ValueError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
         if self.seed < 0:
             raise ValueError(f"train.seed must be >= 0, got {self.seed}")
+        s = self.mixup.schedule
+        if not isinstance(s, str) and not (s and max(s) <= self.epochs):
+            raise ValueError(f"mixup.schedule must name epochs within 1..{self.epochs}, got {list(s)}")
 
 
 @dataclass
@@ -54,6 +58,39 @@ class EpochReport:
     mean_train_loss: float
     dev_metric: EvalResult
     wall_time_ms: int
+
+
+@dataclass
+class TrainState:
+    """A run between two epochs: everything the next epoch reads and changes.
+
+    `params` holds the weights and the Adam moments `m` and `v`; its `grad` is
+    overwritten by every step, so it carries nothing between epochs. `reports`
+    has one entry per finished epoch.
+    """
+
+    params: Parameters
+    opt_step: int
+    dropout_rng: np.random.Generator
+    mixup_rng: np.random.Generator
+    reports: list[EpochReport]
+
+    def copy(self) -> TrainState:
+        """An independent state that continues exactly as this one would."""
+        params = Parameters(self.params.config, self.params.values)
+        params.m[...], params.v[...] = self.params.m, self.params.v
+        return TrainState(params, self.opt_step, copy.deepcopy(self.dropout_rng),
+                          copy.deepcopy(self.mixup_rng), list(self.reports))
+
+
+def start_state(model_config: ModelConfig, seed: int) -> TrainState:
+    """The state before epoch 1: seeded initial weights and generator streams."""
+    return TrainState(
+        params=init_params(model_config), opt_step=0,
+        dropout_rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
+        mixup_rng=np.random.default_rng(np.random.SeedSequence([seed, 2])),
+        reports=[],
+    )
 
 
 def _first_nonfinite(named: Sequence[tuple[str, np.ndarray | float]]) -> str | None:
@@ -236,22 +273,24 @@ def run_training(
     train_config: TrainConfig,
     train_ds: Dataset,
     dev_ds: Dataset,
+    state: TrainState | None = None,
+    stop: int | None = None,
 ):
-    """Full run: seeded shuffling, scheduled mixing, Adam steps, per-epoch dev eval.
+    """Seeded shuffling, scheduled mixing, Adam steps, per-epoch dev eval.
 
-    Returns (final Parameters, list of EpochReports). Deterministic given the
-    seeds and configs; only wall_time_ms varies between repeats.
+    Trains the epochs after those `state` has finished, through epoch `stop`
+    (default: all). `state` defaults to a fresh `start_state`; a given one is
+    advanced in place, so a caller can copy it at an epoch boundary and
+    continue each copy under its own config. Returns (Parameters, list of
+    EpochReports) of the state. Deterministic given the seeds and configs;
+    only wall_time_ms varies between repeats.
     """
     if train_ds.task != dev_ds.task:
         raise ValueError("train and dev datasets must share a task")
-    params = init_params(model_config)
-    mix_cfg = train_config.mixup
-    seed = train_config.seed
-    dropout_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    mixup_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    reports: list[EpochReport] = []
-    opt_step = 0
-    for epoch in range(1, train_config.epochs + 1):
+    if state is None:
+        state = start_state(model_config, train_config.seed)
+    params, mix_cfg, seed = state.params, train_config.mixup, train_config.seed
+    for epoch in range(len(state.reports) + 1, (train_config.epochs if stop is None else stop) + 1):
         t0 = time.perf_counter()
         active = is_active(epoch, train_config.epochs, mix_cfg)
         losses = []
@@ -260,15 +299,15 @@ def run_training(
             try:
                 loss, _ = train_step(
                     params, batch, active, mix_cfg,
-                    dropout_rng=dropout_rng, mixup_rng=mixup_rng,
+                    dropout_rng=state.dropout_rng, mixup_rng=state.mixup_rng,
                 )
-                opt_step += 1
-                adam_update(params, opt_step, train_config)
+                state.opt_step += 1
+                adam_update(params, state.opt_step, train_config)
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(f"epoch {epoch}, step {step}: {e}") from None
             losses.append(loss)
         dev_metric = evaluate(params, dev_ds)
-        reports.append(
+        state.reports.append(
             EpochReport(
                 epoch=epoch,
                 mixup_active=active,
@@ -278,4 +317,4 @@ def run_training(
                 wall_time_ms=int((time.perf_counter() - t0) * 1000),
             )
         )
-    return params, reports
+    return params, state.reports

@@ -245,6 +245,16 @@ def test_determinism_and_parity(experiment):
         )
         assert run["config"]["train"]["seed"] == 2
         assert run["config"]["train"]["fraction"] == 0.5
+        # The sweep trained epoch 1 once for both arms; each run file is still the standalone run's.
+        out = experiment["sweep"] / f"alone-{arm}"
+        rc = main(["train", "--config", config, "--out", str(out), "--seed", "2", "--set", "train.fraction=0.5",
+                   "--set", f"mixup.enabled={json.dumps(arm == 'mixup')}"])
+        assert rc == 0
+        alone = json.loads((out / "run.json").read_text())
+        for rep in (run, alone):
+            for epoch in rep["epochs"]:
+                epoch.pop("wall_time_ms")
+        assert run == alone
 
     # a mixup-disabled run is bit-identical to a fixed lambda = 1 run
     from mixformer.synthetic import SyntheticSpec, generate
@@ -265,4 +275,4 @@ def test_determinism_and_parity(experiment):
     assert [r.dev_metric for r in r_off] == [r.dev_metric for r in r_one]
 
     report("determinism & parity: bit-exact repeats, shared reduction subsets, "
-           "disabled == lambda-1 runs")
+           "sweep cells == standalone runs, disabled == lambda-1 runs")

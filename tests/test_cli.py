@@ -1,18 +1,27 @@
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
+import os
 import runpy
+import select
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mixformer.checks as checks_mod
 import mixformer.cli as cli_mod
+import mixformer.trainer as trainer_mod
 from mixformer.cli import DEFAULT_FRACTIONS, RunConfig, config_hash, load_config, main, normalized_config
 from mixformer.errors import InputError
 from mixformer.numerics import DualResult
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_MODEL = [
     "--set", "model.d_model=16", "--set", "model.n_layers=1",
@@ -209,6 +218,24 @@ def read_sweep_csv(path):
         return list(csv.DictReader(fh))
 
 
+def without_wall_times(report):
+    for epoch in report["epochs"]:
+        epoch.pop("wall_time_ms")
+    return report
+
+
+def count_calls(monkeypatch, module, name, path):
+    """Wrap `module.name` so that each call, here or in a forked worker, appends a byte to `path`."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        with open(path, "ab") as fh:
+            fh.write(b".")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestSweep:
     def test_single_fraction_both_arms_with_delta(self, toy_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -227,7 +254,7 @@ class TestSweep:
     def test_default_fractions_cover_ten_percent_grid(self, toy_dir, tmp_path, monkeypatch):
         assert DEFAULT_FRACTIONS == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: (0.5, None))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, train_ds, state: (0.5, None))
         out = tmp_path / "sweep-default"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--arms", "baseline", "--seeds", "1"])
@@ -248,17 +275,17 @@ class TestSweep:
         out = tmp_path / "sweep-shared"
         main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
               "--fractions", "0.5", "--arms", "both", "--seeds", "7", *SMALL_MODEL])
-        assert recorded == [(0.5, 7), (0.5, 7)]
+        assert recorded == [(0.5, 7)]  # one reduction, which both arms of the group train on
 
     def test_failed_cell_recorded_and_sweep_continues(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = {"n": 0}
         real = cli_mod._execute_run
 
-        def flaky(cfg, train_ds, dev_ds, vocab_size):
+        def flaky(cfg, *args):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("boom")
-            return real(cfg, train_ds, dev_ds, vocab_size)
+            return real(cfg, *args)
 
         monkeypatch.setattr(cli_mod, "_execute_run", flaky)
         out = tmp_path / "sweep-flaky"
@@ -273,7 +300,7 @@ class TestSweep:
         assert "boom" in capsys.readouterr().err
 
     def test_every_cell_failed_exits_1(self, toy_dir, tmp_path, monkeypatch):
-        def failing(cfg, train_ds, dev_ds, vocab_size):
+        def failing(cfg, *args):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_mod, "_execute_run", failing)
@@ -287,10 +314,10 @@ class TestSweep:
     def test_one_progress_line_per_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         real = cli_mod._execute_run
 
-        def fail_first(cfg, train_ds, dev_ds, vocab_size):
+        def fail_first(cfg, *args):
             if cfg.fraction == 0.5:
                 raise RuntimeError("boom")
-            return real(cfg, train_ds, dev_ds, vocab_size)
+            return real(cfg, *args)
 
         monkeypatch.setattr(cli_mod, "_execute_run", fail_first)
         out = tmp_path / "x"
@@ -307,11 +334,11 @@ class TestSweep:
         calls = []
         real = cli_mod._execute_run
 
-        def interrupted(cfg, train_ds, dev_ds, vocab_size):
+        def interrupted(cfg, *args):
             calls.append(cfg)
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return real(cfg, train_ds, dev_ds, vocab_size)
+            return real(cfg, *args)
 
         monkeypatch.setattr(cli_mod, "_execute_run", interrupted)
         out = tmp_path / "sweep-interrupted"
@@ -327,6 +354,153 @@ class TestSweep:
             assert read_json(path)["run_id"] + ".json" == path.name
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads worker pids and states from /proc")
+    def test_sigint_to_the_parent_alone_drops_the_cells_not_started(self, tmp_path):
+        # The interrupt must land while the parent is outside the loop that waits
+        # for results: a stderr pipe that nobody reads blocks it in its next
+        # progress line, as a slow reader of its output would.
+        data = tmp_path / "data"
+        assert main(["gen-synthetic", "--out", str(data), "--train-size", "400", "--dev-size", "48",
+                     "--seed", "3"]) == 0
+        out = tmp_path / "sweep"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mixformer.cli", "sweep", "--config", str(data / "config.json"),
+             "--out", str(out), "--arms", "both", "--seeds", "1,2", "--jobs", "2",
+             "--set", "train.epochs=2", "--set", "model.max_len=16"],
+            env=env, stdout=subprocess.DEVNULL, stderr=write_end, start_new_session=True)
+        stderr = os.fdopen(read_end, "rb")
+        try:
+            assert stderr.readline().startswith(b"sweep: 1/40 ")
+            workers = [int(pid) for f in Path(f"/proc/{proc.pid}/task").glob("*/children")
+                       for pid in f.read_text().split()]
+            assert len(workers) == 2
+            os.close(write_end)
+            # A file description of our own, so that the parent's stays blocking.
+            filler = os.open(f"/proc/self/fd/{read_end}", os.O_WRONLY | os.O_NONBLOCK)
+            for size in (4096, 1):
+                with contextlib.suppress(BlockingIOError):
+                    while True:
+                        os.write(filler, b"x" * size)
+            os.close(filler)
+            wchan = Path(f"/proc/{proc.pid}/task/{proc.pid}/wchan")
+            deadline = time.monotonic() + 30
+            while "pipe_write" not in wchan.read_text():
+                assert time.monotonic() < deadline, "the parent never blocked on its stderr"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            deadline = time.monotonic() + 60
+            while select.select([stderr], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                if not stderr.read1():
+                    break  # EOF: the parent and both workers have closed the pipe
+            assert proc.wait(timeout=max(0.0, deadline - time.monotonic())) != 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            stderr.close()
+        for pid in workers:
+            stat = Path(f"/proc/{pid}/stat")
+            assert not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z", f"worker {pid} left"
+        assert 0 < len(list((out / "runs").iterdir())) < 40
+        assert not (out / "sweep.csv").exists()
+
+    # A two-arm group under last_half trains epoch 1 of 3 once: 5 epochs where
+    # two cells would train 6. Other schedules' first mixing epoch is epoch 1,
+    # and a one-arm group has nothing to share.
+    @pytest.mark.parametrize("arms,schedule,jobs,share", [
+        ("both", "last_half", "1", (5, 6)),
+        ("both", "last_half", "2", (5, 6)),  # 2 groups on 2 workers
+        ("both", "last_half", "4", (1, 1)),  # fewer groups than jobs: the cells go out one by one
+        ("both", "always", "1", (1, 1)),
+        ("mixup", "last_half", "1", (1, 1)),
+    ], ids=["last_half", "last_half-jobs2", "last_half-jobs4-one-by-one", "always", "mixup-arm-only"])
+    def test_a_group_trains_the_epochs_its_arms_share_once(self, toy_dir, tmp_path, monkeypatch,
+                                                           arms, schedule, jobs, share):
+        config = str(toy_dir / "config.json")
+        common = [*SMALL_MODEL, "--set", "train.epochs=3", "--set", f"mixup.schedule={schedule}"]
+        steps, evals = tmp_path / "steps", tmp_path / "evals"
+        count_calls(monkeypatch, trainer_mod, "adam_update", steps)
+        count_calls(monkeypatch, trainer_mod, "evaluate", evals)
+
+        def counts():
+            n = (steps.stat().st_size, evals.stat().st_size)
+            steps.write_bytes(b"")
+            evals.write_bytes(b"")
+            return n
+
+        separate = {}
+        for fraction in (0.5, 1.0):
+            for arm in ("baseline", "mixup") if arms == "both" else (arms,):
+                out = tmp_path / f"train-{fraction}-{arm}"
+                assert main(["train", "--config", config, "--out", str(out), "--seed", "4", *common,
+                             "--set", f"train.fraction={fraction}",
+                             "--set", f"mixup.enabled={json.dumps(arm == 'mixup')}"]) == 0
+                separate[f"synthetic-keywords-f{fraction:g}-{arm}-s4.json"] = without_wall_times(
+                    read_json(out / "run.json"))
+        separate_steps, separate_evals = counts()
+
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config, "--out", str(out), *common, "--fractions", "0.5,1.0",
+                     "--arms", arms, "--seeds", "4", "--jobs", jobs]) == 0
+        sweep_steps, sweep_evals = counts()
+        assert sweep_steps * share[1] == separate_steps * share[0]
+        assert sweep_evals * share[1] == separate_evals * share[0]
+        # Every cell's run file is the standalone run's, outside wall times.
+        assert {path.name: without_wall_times(read_json(path)) for path in (out / "runs").iterdir()} == separate
+
+    def test_a_failure_in_the_shared_epochs_fails_both_arms(self, toy_dir, tmp_path, monkeypatch, capsys):
+        real, calls = trainer_mod.evaluate, []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:  # the dev evaluation of epoch 1, which both arms share
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(trainer_mod, "evaluate", fails_once)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out), "--fractions", "1.0",
+                   "--arms", "both", "--seeds", "3", *SMALL_MODEL, "--set", "train.epochs=3"])
+        assert rc == 1 and len(calls) == 1
+        assert [r["status"] for r in read_sweep_csv(out / "sweep.csv")] == ["error", "error"]
+        assert list((out / "runs").iterdir()) == []
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: ")]
+        assert lines == [
+            "sweep: 1/2 fraction=1 arm=baseline seed=3 failed: RuntimeError: boom",
+            "sweep: 2/2 fraction=1 arm=mixup seed=3 failed: RuntimeError: boom",
+        ]
+
+    def test_a_failure_after_the_branch_fails_only_that_arm(self, toy_dir, tmp_path, monkeypatch):
+        real = trainer_mod.train_step
+
+        def no_mixing(params, batch, mix_active, *args, **kwargs):
+            if mix_active:
+                raise RuntimeError("boom")
+            return real(params, batch, mix_active, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_step", no_mixing)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out), "--fractions", "1.0",
+                   "--arms", "both", "--seeds", "3", *SMALL_MODEL, "--set", "train.epochs=3"])
+        assert rc == 0
+        assert [r["status"] for r in read_sweep_csv(out / "sweep.csv")] == ["ok", "error"]
+        (run,) = (out / "runs").iterdir()
+        assert run.name == "synthetic-keywords-f1-baseline-s3.json"
+        assert len(read_json(run)["epochs"]) == 3
+
+    @pytest.mark.parametrize("schedule", ["[5]", "[]"])
+    def test_schedule_it_cannot_run_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys, schedule):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg) or (0.5, None))
+        out = tmp_path / "x"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "0.5,1.0", "--set", f"mixup.schedule={schedule}"])
+        assert rc == 2 and calls == [] and not out.exists()
+        assert "mixup.schedule" in capsys.readouterr().err
+
     def test_fractions_that_name_the_same_run_exit_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli_mod, "_execute_run", lambda *args: calls.append(args))
@@ -339,7 +513,7 @@ class TestSweep:
 
     def test_bad_shared_config_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: calls.append(cfg) or (0.5, None))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg) or (0.5, None))
         out = tmp_path / "sweep-bad"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "1",
@@ -390,15 +564,16 @@ class TestSweep:
             runs.append(reports)
         assert csvs[0] == csvs[1]
         assert len(runs[0]) == 2 and runs[0] == runs[1]
-        # The datasets reach the workers through the pool initializer; a payload is one config.
+        # The datasets reach the workers through the pool initializer; a payload is a list of configs,
+        # here one each: 2 groups are fewer than 4 jobs, so the cells go out one by one.
         assert len(payloads) == 2
-        assert all(type(p) is RunConfig for p in payloads)
+        assert all(type(p) is list and [type(c) for c in p] == [RunConfig] for p in payloads)
         assert start_methods == ["fork"]  # named, not left to the platform default
         assert pool_sizes == [2]  # --jobs 4 over 2 cells forks only 2 workers
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg: calls.append(cfg) or (0.5, None))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg) or (0.5, None))
         out = tmp_path / "x"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--fractions", "1.0", "--seeds", "3,-2"])
@@ -412,7 +587,7 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, toy_dir, tmp_path, monkeypatch, capsys, jobs):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg))
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(tmp_path / "x"),
                    "--fractions", "1.0", "--jobs", jobs])
         assert rc == 2 and calls == []
@@ -424,7 +599,7 @@ class TestSweep:
     ])
     def test_repeated_value_exits_2_naming_it(self, toy_dir, tmp_path, monkeypatch, capsys, flag, values, named):
         calls = []
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda payload: calls.append(payload))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg))
         out = tmp_path / "x"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out), flag, values])
         assert rc == 2 and calls == [] and not out.exists()
@@ -483,6 +658,8 @@ class TestConfigLoader:
         ("task.labels.n=2.5", ["task.labels.n"]),
         ("train.seed=1.5", ["train.seed"]),
         ("mixup.schedule=[2.9]", ["mixup.schedule"]),
+        ("mixup.schedule=[5]", ["mixup.schedule", "1..3"]),
+        ("mixup.schedule=[]", ["mixup.schedule"]),
         ("mixup.lambda=true", ["mixup.lambda"]),
         ("train.seed=-1", ["train.seed"]),
         ("model.vocab_max_size=4", ["model.vocab_max_size"]),

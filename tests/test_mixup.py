@@ -11,6 +11,7 @@ from mixformer.mixup import (
     FixedLambda,
     MixPlan,
     MixupConfig,
+    epochs_before_mixing,
     is_active,
     make_plan,
     mix_labels,
@@ -207,6 +208,14 @@ class TestIsActive:
             is_active(0, 3, MixupConfig())
         with pytest.raises(ValueError, match="epoch"):
             is_active(4, 3, MixupConfig())
+
+    @pytest.mark.parametrize("schedule,total,before", [
+        ("last_half", 3, 1), ("last_half", 4, 2), ("last_half", 1, 0),
+        ("always", 3, 0), ((2, 3), 3, 1), ((3,), 3, 2),
+    ])
+    def test_epochs_before_mixing(self, schedule, total, before):
+        assert epochs_before_mixing(total, MixupConfig(schedule=schedule)) == before
+        assert epochs_before_mixing(total, MixupConfig(enabled=False, schedule=schedule)) == total
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="schedule"):

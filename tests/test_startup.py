@@ -1,7 +1,8 @@
 """What the CLI sets up in its process, and what importing it costs.
 
 `cli.main` keeps glibc from trimming the heap between training steps; forked
-pool workers inherit that. Importing the CLI leaves the pool's modules out.
+pool workers inherit that. Importing the CLI leaves out the modules that only
+some commands use.
 """
 
 import ctypes
@@ -102,6 +103,9 @@ def test_cli_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, fake_cdll):
 
 
 def test_importing_the_cli_leaves_the_pool_modules_out():
-    # train and eval build no pool, so they should not pay for its imports.
+    # train and eval build no pool, so they should not pay for its imports, nor
+    # for those of gradcheck, gen-synthetic, the sweep table and the unknown-key hint.
     loaded = run_python(["-c", "import sys, mixformer.cli; print(*sorted(sys.modules))"]).split()
-    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
+    command_only = ("concurrent.futures", "multiprocessing", "mixformer.checks", "mixformer.synthetic",
+                    "csv", "difflib")
+    assert [name for name in command_only if name in loaded] == []

@@ -13,7 +13,7 @@ from mixformer.mixup import BetaLambda, FixedLambda, MixPlan, MixupConfig, mix_l
 from mixformer.model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from mixformer.numerics import DualResult, cross_entropy_soft, grad_check
 from mixformer.synthetic import SyntheticSpec, default_config, generate
-from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, step_loss, train_step
+from mixformer.trainer import TrainConfig, adam_update, evaluate, run_training, start_state, step_loss, train_step
 
 from conftest import text_dataset
 
@@ -33,6 +33,12 @@ def test_train_config_defaults_are_fine_tuning_recipe():
     mix = cfg.mixup
     assert mix.enabled and mix.schedule == "last_half"
     assert isinstance(mix.lambda_policy, FixedLambda) and mix.lambda_policy.value == 0.5
+
+
+@pytest.mark.parametrize("schedule", [(), (4,), (1, 4)])
+def test_train_config_rejects_a_schedule_it_cannot_run(schedule):
+    with pytest.raises(ValueError, match=r"mixup\.schedule must name epochs within 1\.\.3"):
+        TrainConfig(epochs=3, mixup=MixupConfig(schedule=schedule))
 
 
 class TestAdamUpdate:
@@ -318,6 +324,21 @@ class TestRunTraining:
                 b.epoch, b.mixup_active, b.lambda_used, b.mean_train_loss
             )
             assert a.dev_metric == b.dev_metric
+
+    def test_a_run_split_at_an_epoch_continues_bit_exactly_from_a_copy(self):
+        # Beta draws in epoch 1 advance the mixing stream before the split.
+        train_ds, dev_ds, vocab = quick_task_data(n_train=48, n_dev=16)
+        mcfg = quick_model_config(vocab, dropout=0.1)
+        tcfg = quick_train_config(mixup=MixupConfig(lambda_policy=BetaLambda(0.4), schedule=(1, 3)))
+        p_whole, r_whole = run_training(mcfg, tcfg, train_ds, dev_ds)
+        state = start_state(mcfg, tcfg.seed)
+        run_training(mcfg, tcfg, train_ds, dev_ds, state, stop=1)
+        branch = state.copy()
+        for params, reports in (run_training(mcfg, tcfg, train_ds, dev_ds, state),
+                                run_training(mcfg, tcfg, train_ds, dev_ds, branch)):
+            for now, whole in zip((params.flat, params.m, params.v), (p_whole.flat, p_whole.m, p_whole.v)):
+                assert now.tobytes() == whole.tobytes()
+            assert [replace(r, wall_time_ms=0) for r in reports] == [replace(r, wall_time_ms=0) for r in r_whole]
 
     def test_learns_separable_task(self):
         train_ds, dev_ds, vocab = quick_task_data()
