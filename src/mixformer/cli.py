@@ -8,7 +8,6 @@ leaf can be overridden with repeated --set key.path=value flags. Exit codes:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import hashlib
 import io
@@ -345,15 +344,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The datasets, vocabulary size and runs/ directory that every sweep cell shares.
-# Pool workers get them once, from the initializer; --jobs 1 sets them
-# in-process. A unit's payload is then its list of RunConfigs alone.
+# The datasets, vocabulary size and runs/ directory that every sweep cell shares,
+# set by `cmd_sweep` for the length of one sweep. Pool workers inherit them
+# through fork, so a unit's payload is its list of RunConfigs alone.
 _sweep_shared: tuple[Dataset, Dataset, int, str] | None = None
-
-
-def _init_sweep_worker(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str) -> None:
-    global _sweep_shared
-    _sweep_shared = (train_ds, dev_ds, vocab_size, runs_dir)
 
 
 def _failure(e: Exception) -> tuple[None, str]:
@@ -414,25 +408,6 @@ def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[int]]:
     return list(groups.values()) if len(groups) >= jobs else [[i] for i in range(len(cells))]
 
 
-def _sweep_results(cells: list[RunConfig], jobs: int, shared: tuple):
-    """Each cell's (index, (metric, error)), as it arrives."""
-    units = _sweep_units(cells, jobs)
-    payloads = [[cells[i] for i in unit] for unit in units]
-    if jobs == 1:
-        _init_sweep_worker(*shared)
-        for unit, payload in zip(units, payloads):
-            yield from zip(unit, _run_sweep_group(payload))
-        return
-    # A fork pool starts all its workers at once: no more than there are units.
-    pool = fork_pool(min(jobs, len(units)), initializer=_init_sweep_worker, initargs=shared)
-    try:
-        for unit, outcomes in zip(units, pool.map(_run_sweep_unit, payloads)):
-            yield from zip(unit, outcomes)
-    finally:
-        # After an interrupt, units not yet started are dropped and only the running ones finish.
-        pool.shutdown(cancel_futures=True)
-
-
 def _parse_list(flag: str, text: str, kind, what: str) -> list:
     try:
         values = [kind(x) for x in text.split(",")]
@@ -469,14 +444,27 @@ def cmd_sweep(args) -> int:
     vocab, train_ds, dev_ds = _load_task_data(cfg)
     runs_dir = os.path.join(out_dir, "runs")
     _make_out_dir(runs_dir)
-    done = [None] * len(cells)
-    with contextlib.closing(_sweep_results(cells, args.jobs, (train_ds, dev_ds, vocab.size, runs_dir))) as results:
+    units = _sweep_units(cells, args.jobs)
+    payloads = [[cells[i] for i in unit] for unit in units]
+    done, pool = [None] * len(cells), None
+    global _sweep_shared
+    try:
+        _sweep_shared = (train_ds, dev_ds, vocab.size, runs_dir)
+        # Workers fork on the first map and inherit _sweep_shared; no more of them than there are units.
+        pool = fork_pool(min(args.jobs, len(units))) if args.jobs > 1 else None
+        outcomes = pool.map(_run_sweep_unit, payloads) if pool else map(_run_sweep_group, payloads)
+        results = ((i, result) for unit, unit_results in zip(units, outcomes) for i, result in zip(unit, unit_results))
         for k, (i, (metric, error)) in enumerate(results, 1):
             cell = cells[i]
             outcome = f"{cfg.task.metric}={metric:.4f}" if error is None else f"failed: {error}"
             print(f"sweep: {k}/{len(cells)} fraction={cell.fraction:g} arm={_arm(cell)} seed={cell.train.seed} "
                   f"{outcome}", file=sys.stderr)
             done[i] = (cell, metric, error)
+    finally:
+        # After an interrupt, units not yet started are dropped and only the running ones finish.
+        if pool:
+            pool.shutdown(cancel_futures=True)
+        _sweep_shared = None
 
     import csv
 

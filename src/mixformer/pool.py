@@ -13,11 +13,11 @@ if TYPE_CHECKING:
     import concurrent.futures
 
 
-def fork_pool(max_workers: int, **kwargs) -> concurrent.futures.ProcessPoolExecutor:
+def fork_pool(max_workers: int) -> concurrent.futures.ProcessPoolExecutor:
     """A process pool whose workers are forked from this process.
 
-    Forked workers inherit the parent's memory: module globals, monkeypatched
-    attributes, initializer arguments and the allocator settings of
+    Workers fork at the first submitted call and inherit the parent's memory:
+    module globals, monkeypatched attributes and the allocator settings of
     `cli.main` arrive without pickling, and only the submitted calls and their
     results cross the pipe. The start method is named here rather than left
     to the platform default, which Python 3.14 turns into forkserver on Linux.
@@ -26,5 +26,5 @@ def fork_pool(max_workers: int, **kwargs) -> concurrent.futures.ProcessPoolExecu
     import multiprocessing
 
     return concurrent.futures.ProcessPoolExecutor(
-        max_workers, mp_context=multiprocessing.get_context("fork"), **kwargs
+        max_workers, mp_context=multiprocessing.get_context("fork")
     )

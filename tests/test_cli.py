@@ -310,6 +310,7 @@ class TestSweep:
         assert rc == 1
         statuses = [r["status"] for r in read_sweep_csv(out / "sweep.csv")]
         assert statuses == ["error", "error"]
+        assert cli_mod._sweep_shared is None  # the datasets do not outlive the sweep
 
     def test_one_progress_line_per_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         real = cli_mod._execute_run
@@ -347,6 +348,7 @@ class TestSweep:
                   "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "2", *SMALL_MODEL,
                   "--set", "train.epochs=1"])
         assert len(calls) == 3
+        assert cli_mod._sweep_shared is None
         assert sorted(p.name for p in (out / "runs").iterdir()) == [
             "synthetic-keywords-f0.5-baseline-s2.json", "synthetic-keywords-f0.5-mixup-s2.json",
         ]
@@ -532,13 +534,18 @@ class TestSweep:
         assert rc == 2 and calls == []
         assert "cannot create output directory" in capsys.readouterr().err
 
-    def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch):
-        payloads, start_methods, pool_sizes = [], [], []
+    @pytest.mark.parametrize("arms,jobs,unit_size", [
+        ("baseline", "4", 1),  # 2 groups are fewer than 4 jobs, so the cells go out one by one
+        ("both", "2", 2),  # 2 groups on 2 workers
+    ], ids=["one-by-one", "groups"])
+    def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch, capsys, arms, jobs, unit_size):
+        payloads, start_methods, pool_sizes, pool_kwargs = [], [], [], []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers=None, mp_context=None, **kwargs):
                 pool_sizes.append(max_workers)
                 start_methods.append(mp_context.get_start_method())
+                pool_kwargs.append(kwargs)
                 super().__init__(max_workers, mp_context=mp_context, **kwargs)
 
             def map(self, fn, *iterables, **kwargs):
@@ -547,13 +554,14 @@ class TestSweep:
                 return super().map(fn, *items, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        csvs, runs = [], []
-        for name, jobs in (("seq", "1"), ("par", "4")):
+        csvs, runs, progress = [], [], []
+        for name, n_jobs in (("seq", "1"), ("par", jobs)):
             out = tmp_path / name
             rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
-                       "--fractions", "0.5,1.0", "--arms", "baseline", "--seeds", "2",
-                       "--jobs", jobs, *SMALL_MODEL])
+                       "--fractions", "0.5,1.0", "--arms", arms, "--seeds", "2",
+                       "--jobs", n_jobs, *SMALL_MODEL])
             assert rc == 0
+            assert cli_mod._sweep_shared is None  # released after the sweep, with and without a pool
             csvs.append((out / "sweep.csv").read_bytes())
             reports = {}
             for path in sorted((out / "runs").glob("*.json")):
@@ -562,14 +570,16 @@ class TestSweep:
                     epoch.pop("wall_time_ms")
                 reports[path.name] = report
             runs.append(reports)
+            progress.append([line for line in capsys.readouterr().err.splitlines() if line.startswith("sweep: ")])
         assert csvs[0] == csvs[1]
-        assert len(runs[0]) == 2 and runs[0] == runs[1]
-        # The datasets reach the workers through the pool initializer; a payload is a list of configs,
-        # here one each: 2 groups are fewer than 4 jobs, so the cells go out one by one.
+        assert len(runs[0]) == 2 * unit_size and runs[0] == runs[1]
+        assert len(progress[0]) == 2 * unit_size and progress[0] == progress[1]
+        # The datasets reach the workers through fork; a payload is a unit's list of configs.
         assert len(payloads) == 2
-        assert all(type(p) is list and [type(c) for c in p] == [RunConfig] for p in payloads)
+        assert all(type(p) is list and [type(c) for c in p] == [RunConfig] * unit_size for p in payloads)
         assert start_methods == ["fork"]  # named, not left to the platform default
-        assert pool_sizes == [2]  # --jobs 4 over 2 cells forks only 2 workers
+        assert pool_sizes == [2]  # no more workers than there are units
+        assert pool_kwargs == [{}]  # no initializer
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
