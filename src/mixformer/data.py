@@ -143,8 +143,8 @@ def build_vocab(train_corpus: Iterable[str], min_count: int = 1, max_size: int =
 
 @dataclass(frozen=True)
 class Example:
-    token_ids: np.ndarray  # int64 [max_len]
-    mask: np.ndarray  # int64 [max_len]
+    """One encoded row: its real tokens only (CLS ... SEP, at most max_len), no PAD."""
+    token_ids: np.ndarray  # int64 [n_real]
     label: float | int
 
 
@@ -194,7 +194,7 @@ def encode_example(
     label,
     max_len: int,
 ) -> Example:
-    """[CLS] s1 [SEP] (s2 [SEP]) layout, truncated longer-sentence-first, PAD-filled."""
+    """[CLS] s1 [SEP] (s2 [SEP]) layout, truncated longer-sentence-first to max_len; no PAD."""
     pair = task.input_arity == "pair"
     if pair != (sentence2 is not None):
         raise ValueError(f"task {task.name!r} expects sentence2 iff arity is 'pair'")
@@ -209,23 +209,22 @@ def encode_example(
         ids = [CLS_ID, *t1, SEP_ID, *t2, SEP_ID]
     else:
         ids = [CLS_ID, *t1[:budget], SEP_ID]
-    n_real = len(ids)
-    ids = ids + [PAD_ID] * (max_len - n_real)
-    mask = [1] * n_real + [0] * (max_len - n_real)
-    return Example(
-        token_ids=np.asarray(ids, dtype=np.int64),
-        mask=np.asarray(mask, dtype=np.int64),
-        label=_validate_label(task, label),
-    )
+    return Example(token_ids=np.asarray(ids, dtype=np.int64), label=_validate_label(task, label))
 
 
 def _read_rows(path, task: TaskSpec) -> list[tuple[int, str, str | None, str]]:
-    """Parse a header-first TSV into (lineno, sentence1, sentence2, raw_label) rows."""
+    """Parse a header-first TSV into (lineno, sentence1, sentence2, raw_label) rows.
+
+    Universal newlines turn CRLF and CR into a line feed, and only a line feed
+    ends a row: any other line separator stays inside its field.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    if lines[-1] == "":  # the final line feed ends the last row
+        lines.pop()
     if not lines:
         raise InputError(f"{path}: empty file, expected a header row")
     n_fields = len(lines[0].split("\t"))
@@ -319,9 +318,8 @@ def _labels_array(task: TaskSpec, examples: Sequence[Example]) -> np.ndarray:
 def batches(ds: Dataset, batch_size: int, shuffle_seed=None) -> list[EncodedBatch]:
     """Chunk the dataset into EncodedBatches; class labels are one-hot here.
 
-    Each batch is cut to the width of its longest real row: the columns
-    dropped hold only PAD with mask 0, which the encoder's key mask gives
-    zero weight, so the pooled output does not depend on them.
+    The one place rows are padded: each batch is PAD-filled to its longest
+    row, and its mask is 1 exactly on real tokens (no vocabulary id is PAD_ID).
     shuffle_seed may be anything np.random.default_rng accepts; None keeps
     dataset order. The final short batch is kept.
     """
@@ -333,13 +331,8 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed=None) -> list[EncodedBatc
     out = []
     for start in range(0, len(order), batch_size):
         exs = [ds.examples[i] for i in order[start : start + batch_size]]
-        mask = np.stack([ex.mask for ex in exs])
-        width = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-        out.append(
-            EncodedBatch(
-                token_ids=np.stack([ex.token_ids[:width] for ex in exs]),
-                attention_mask=mask[:, :width].copy(),
-                labels=_labels_array(ds.task, exs),
-            )
-        )
+        ids = np.full((len(exs), max(ex.token_ids.size for ex in exs)), PAD_ID, dtype=np.int64)
+        for row, ex in zip(ids, exs):
+            row[: ex.token_ids.size] = ex.token_ids
+        out.append(EncodedBatch(ids, (ids != PAD_ID).astype(np.int64), _labels_array(ds.task, exs)))
     return out

@@ -240,8 +240,8 @@ EVAL_BATCH_SIZE = 32
 def evaluate(params: Parameters, dev_ds: Dataset) -> EvalResult:
     """Forward-only pass (no dropout, no mixing); dispatches to the task metric.
 
-    Rows are batched in order of real length (a stable sort), so each batch is
-    trimmed to about its rows' own width instead of the longest of
+    Rows are batched in order of length (a stable sort), so each batch is
+    padded to about its rows' own width instead of the longest of
     EVAL_BATCH_SIZE rows in dataset order. Outputs are put back in dataset
     order before the metric, so it sums in the same order as an unsorted pass.
     A row's outputs may differ from that pass in the last bits, because the
@@ -250,7 +250,7 @@ def evaluate(params: Parameters, dev_ds: Dataset) -> EvalResult:
     examples, task = dev_ds.examples, dev_ds.task
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    order = np.argsort([np.count_nonzero(ex.mask) for ex in examples], kind="stable")
+    order = np.argsort([ex.token_ids.size for ex in examples], kind="stable")
     by_length = Dataset(task, [examples[i] for i in order], dev_ds.split)
     outs = []
     for batch in batches(by_length, EVAL_BATCH_SIZE):

@@ -76,10 +76,7 @@ class TestEncodeExample:
     def test_single_layout(self):
         vocab = build_vocab(["hello world"])
         ex = encode_example(vocab, SINGLE, "hello world", None, 1, max_len=6)
-        np.testing.assert_array_equal(
-            ex.token_ids, [CLS_ID, vocab.id_for("hello"), vocab.id_for("world"), SEP_ID, PAD_ID, PAD_ID]
-        )
-        np.testing.assert_array_equal(ex.mask, [1, 1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(ex.token_ids, [CLS_ID, vocab.id_for("hello"), vocab.id_for("world"), SEP_ID])
 
     def test_pair_truncation_keeps_both_seps(self):
         vocab = build_vocab(["a b c d e f g h"])
@@ -120,8 +117,11 @@ class TestEncodeExample:
 
     def test_pad_positions_unmasked_everywhere(self):
         vocab = build_vocab(["q r s"])
-        ex = encode_example(vocab, SINGLE, "q", None, 1, max_len=8)
-        assert all(ex.token_ids[i] == PAD_ID for i in np.where(ex.mask == 0)[0])
+        texts = ("q", "q r s", "unknown", "r")
+        ds = Dataset(SINGLE, [encode_example(vocab, SINGLE, t, None, 1, max_len=8) for t in texts], "train")
+        (batch,) = batches(ds, len(texts))
+        assert (batch.token_ids == PAD_ID).any() and (batch.token_ids == UNK_ID).any()
+        np.testing.assert_array_equal(batch.attention_mask == 0, batch.token_ids == PAD_ID)
 
 
 class TestLoadTsv:
@@ -145,6 +145,24 @@ class TestLoadTsv:
         for a, b in zip(lf.examples, crlf.examples):
             np.testing.assert_array_equal(a.token_ids, b.token_ids)
             assert a.label == b.label
+
+    @pytest.mark.parametrize("rows, expected", [
+        ("1\tgood film\u20280\tbad film\n", r":2: expected 2 tab-separated fields, found 3"),
+        ("1\tgood\x0cfilm\n0\tbad film\n", [1, 0]),
+        ("1\tgood film\n\n0\tbad film\n", r":3: expected 2 tab-separated fields, found 1"),
+        ("1\tgood film\n\n", r":3: expected 2 tab-separated fields, found 1"),
+    ], ids=["line-separator-inside-a-row", "form-feed-inside-a-sentence", "blank-line", "blank-last-line"])
+    def test_a_row_ends_only_at_a_line_feed(self, tmp_path, rows, expected):
+        path = self.write(tmp_path, "label\tsentence\n" + rows)
+        vocab = build_vocab(["good film bad"])
+        if isinstance(expected, str):
+            with pytest.raises(InputError, match=expected):
+                load_tsv(path, SINGLE, vocab, max_len=8)
+            return
+        ds = load_tsv(path, SINGLE, vocab, max_len=8)
+        assert [ex.label for ex in ds.examples] == expected
+        np.testing.assert_array_equal(ds.examples[0].token_ids,
+                                      [CLS_ID, vocab.id_for("good"), vocab.id_for("film"), SEP_ID])
 
     def test_bad_regression_label_reports_line(self, tmp_path):
         path = self.write(tmp_path, "label\tsentence\n2.5\tfine row\nnot-a-number\tbad row\n")
@@ -254,21 +272,24 @@ class TestBatches:
     def test_width_is_longest_real_row_and_dropped_columns_are_pad(self):
         vocab = build_vocab(["a b c d e f g"])
         texts = [" ".join("abcdefg"[: 1 + (i * 5) % 7]) for i in range(11)]
-        examples = [encode_example(vocab, SINGLE, t, None, i % 2, 12) for i, t in enumerate(texts)]
-        ds = Dataset(SINGLE, examples, "train")
-        start = 0
-        for batch in batches(ds, 3):
-            rows = ds.examples[start : start + len(batch.token_ids)]
-            start += len(rows)
-            width = batch.token_ids.shape[1]
-            assert width == max(int(ex.mask.sum()) for ex in rows)
-            assert batch.attention_mask.shape == batch.token_ids.shape
-            for i, ex in enumerate(rows):
-                np.testing.assert_array_equal(batch.token_ids[i], ex.token_ids[:width])
-                np.testing.assert_array_equal(batch.attention_mask[i], ex.mask[:width])
-                assert np.all(ex.token_ids[width:] == PAD_ID)
-                assert np.all(ex.mask[width:] == 0)
-        assert start == len(ds.examples)
+        single = [encode_example(vocab, SINGLE, t, None, i % 2, 12) for i, t in enumerate(texts)]
+        # 3 or 10 words a pair; at max_len 9 the 10-word pairs are truncated to exactly 9 tokens
+        pairs = [encode_example(vocab, PAIR, t, texts[-1 - i], i % 2, 9) for i, t in enumerate(texts)]
+        assert sorted({ex.token_ids.size for ex in pairs}) == [6, 9]
+        for ds in (Dataset(SINGLE, single, "train"), Dataset(PAIR, pairs, "train")):
+            start = 0
+            for batch in batches(ds, 3):
+                rows = ds.examples[start : start + len(batch.token_ids)]
+                start += len(rows)
+                width = batch.token_ids.shape[1]
+                assert width == max(ex.token_ids.size for ex in rows)
+                assert batch.attention_mask.shape == batch.token_ids.shape
+                for i, ex in enumerate(rows):
+                    n = ex.token_ids.size
+                    np.testing.assert_array_equal(batch.token_ids[i, :n], ex.token_ids)
+                    np.testing.assert_array_equal(batch.attention_mask[i], [1] * n + [0] * (width - n))
+                    assert np.all(batch.token_ids[i, n:] == PAD_ID)
+            assert start == len(ds.examples)
 
     def test_same_seed_same_composition(self):
         ds = make_classification_dataset(10, 10)

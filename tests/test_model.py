@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mixformer.model as model_mod
-from mixformer.data import LabelClasses, TaskSpec, batches
+from mixformer.data import PAD_ID, LabelClasses, TaskSpec, batches
 from mixformer.errors import InputError
 from mixformer.model import (
     EncodedBatch,
@@ -18,7 +18,9 @@ from mixformer.model import (
     save_params,
     sinusoidal_positions,
 )
+from mixformer.mixup import MixupConfig
 from mixformer.numerics import DualResult, grad_check
+from mixformer.trainer import step_loss
 
 from conftest import text_dataset
 
@@ -54,6 +56,15 @@ def full_sequence_pooled(W, ids, mask, n_heads):
         act = 0.5 * u * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (u + 0.044715 * u**3)))
         x = norm(x + act @ W[p + "ffn.w2"] + W[p + "ffn.b2"], W[p + "ffn.ln.gain"], W[p + "ffn.ln.bias"])
     return np.tanh(x[:, 0] @ W["pooler.w"] + W["pooler.b"])
+
+
+def six_rows_and_a_two_layer_model():
+    """Six dev rows of 4 to 7 tokens at max_len 16, and a 2-layer d=8 model over their vocabulary."""
+    rows = [(i % 2, " ".join(["tok"] * (1 + i % 4) + [f"w{i}"])) for i in range(6)]
+    task = TaskSpec("pad", "single", LabelClasses(2), "accuracy", 1, 0)
+    ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
+    return ds, init_params(ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2,
+                                       d_ff=16, max_len=16, seed=4))
 
 
 class TestConfig:
@@ -163,20 +174,43 @@ class TestEncode:
             assert np.all(masked < 1e-30)
 
     def test_trimmed_batch_matches_padded_batch(self):
-        rows = [(i % 2, " ".join(["tok"] * (1 + i % 4) + [f"w{i}"])) for i in range(6)]
-        task = TaskSpec("pad", "single", LabelClasses(2), "accuracy", 1, 0)
-        ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
-        params = init_params(ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2,
-                                         d_ff=16, max_len=16, seed=4))
-        (trimmed,) = batches(ds, len(rows))
-        padded = EncodedBatch(np.stack([ex.token_ids for ex in ds.examples]),
-                              np.stack([ex.mask for ex in ds.examples]), trimmed.labels)
+        ds, params = six_rows_and_a_two_layer_model()
+        (trimmed,) = batches(ds, len(ds.examples))
+
+        def to_max_len(row, fill):
+            return np.pad(row, (0, 16 - row.size), constant_values=fill)
+
+        padded = EncodedBatch(np.stack([to_max_len(ex.token_ids, PAD_ID) for ex in ds.examples]),
+                              np.stack([to_max_len(np.ones_like(ex.token_ids), 0) for ex in ds.examples]),
+                              trimmed.labels)
         assert trimmed.token_ids.shape[1] < padded.token_ids.shape[1] == 16
 
         def logits(batch):
             return head_forward(params, encode(params, batch).output).output
 
         np.testing.assert_allclose(logits(trimmed), logits(padded), rtol=0, atol=1e-12)
+
+    def test_step_gemm_shapes_pin_batch_width_and_last_block_pruning(self, monkeypatch):
+        ds, params = six_rows_and_a_two_layer_model()
+        (batch,) = batches(ds, len(ds.examples))
+        shapes = []
+        real = model_mod.matmul
+
+        def recording_matmul(a, b):
+            shapes.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(model_mod, "matmul", recording_matmul)
+        step_loss(params, batch, False, MixupConfig(), np.random.default_rng(0))
+        d, d_ff = 8, 16
+        every, first = 6 * 7, 6  # 6 rows, the longest 7 tokens: all positions, or position 0 only
+
+        def block(n_query):  # Q, K, V, O, then the FFN's two GEMMs
+            return [((n_query, d), (d, d)), ((every, d), (d, d)), ((every, d), (d, d)),
+                    ((n_query, d), (d, d)), ((n_query, d), (d, d_ff)), ((n_query, d_ff), (d_ff, d))]
+
+        pooler_and_head = [((first, d), (d, d)), ((first, d), (d, 2))]
+        assert shapes == block(every) + block(first) + pooler_and_head
 
     def test_pooled_reads_only_position_zero(self, tiny_params, tiny_batch, monkeypatch):
         captured = []

@@ -477,7 +477,7 @@ class TestEvaluate:
             labels = rng.integers(0, n, 90)
         rows = [(lab, " ".join(f"w{j}" for j in rng.integers(0, 40, rng.integers(1, 14)))) for lab in labels]
         ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
-        lengths = [int(ex.mask.sum()) for ex in ds.examples]
+        lengths = [ex.token_ids.size for ex in ds.examples]
         assert lengths != sorted(lengths)
         params = init_params(ModelConfig(
             vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_len=16,
