@@ -1,20 +1,1 @@
 """Micro-transformer text classification with mixing of pooled representations."""
-
-__version__ = "0.1.0"
-
-from .data import Dataset, TaskSpec, Vocabulary, build_vocab, load_tsv, reduce_dataset
-from .metrics import EvalResult, accuracy, matthews_corr, pearson_corr, spearman_corr
-from .mixup import BetaLambda, FixedLambda, MixPlan, MixupConfig, is_active, make_plan, mix_labels, mix_representations, sample_lambda
-from .model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params, load_params, save_params
-from .numerics import DualResult, grad_check
-from .trainer import EpochReport, TrainConfig, adam_update, evaluate, run_training, train_step
-
-__all__ = [
-    "BetaLambda", "Dataset", "DualResult", "EncodedBatch", "EpochReport", "EvalResult",
-    "FixedLambda", "MixPlan", "MixupConfig", "ModelConfig", "Parameters", "TaskSpec",
-    "TrainConfig", "Vocabulary", "accuracy", "adam_update", "build_vocab", "encode",
-    "evaluate", "grad_check", "head_forward", "init_params", "is_active", "load_params",
-    "load_tsv", "make_plan", "matthews_corr", "mix_labels", "mix_representations",
-    "pearson_corr", "reduce_dataset", "run_training", "sample_lambda", "save_params",
-    "spearman_corr", "train_step",
-]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixup import FixedLambda, MixPlan, MixupConfig, mix_representations
-from .model import EncodedBatch, ModelConfig, init_params
+from .model import EncodedBatch, ModelConfig, Parameters, init_params
 from .numerics import (
     cross_entropy_soft,
     gelu,
@@ -19,8 +19,10 @@ from .numerics import (
     scalarize,
     softmax_rows,
 )
-from .pool import fork_pool
 from .trainer import step_loss
+
+SEED = 0  # of the op checks' inputs and probes
+H = 1e-5  # central-difference step
 
 
 @dataclass(frozen=True)
@@ -49,39 +51,34 @@ def _tiny_setup(mix: bool):
     return params, batch, plan
 
 
-def _model_step_error(mix: bool, h: float) -> float:
+def _model_step_error(mix: bool) -> float:
     params, batch, plan = _tiny_setup(mix)
     mixup_config = MixupConfig(lambda_policy=FixedLambda(0.35))
 
-    # step_loss's backward returns (params.grad,): the gradient of `flat`,
-    # which every parameter view shares and grad_check perturbs. grad_check
-    # calls that backward once, on its unperturbed base evaluation.
-    return grad_check(lambda _: step_loss(params, batch, mix, mixup_config, plan=plan), [params.flat], h=h)
+    # The step as a function of `flat`. step_loss's backward returns
+    # (params.grad,), the gradient of the flat buffer every view shares;
+    # grad_check's stacked copies of `flat` give one loss per copy.
+    def f(flat):
+        return step_loss(Parameters(params.config, params.values, flat), batch, mix, mixup_config, plan=plan)
+
+    return grad_check(f, [params.flat], H)
 
 
-def gradient_check_suite(seed: int = 0, h: float = 1e-5) -> list[CheckResult]:
-    """Run every component check; used by both the CLI and the acceptance tests.
-
-    The two model-step checks take almost all of the evaluations. Each builds
-    its own model and batch and draws nothing from `rng`, so they run in two
-    forked workers while the op checks run here; their results are appended
-    last, as if run in order.
-    """
-    with fork_pool(2) as pool:
-        steps = [pool.submit(_model_step_error, mix, h) for mix in (False, True)]
-        results = _op_checks(seed, h)
-        results.append(CheckResult("model_step", steps[0].result(), 1e-6))
-        results.append(CheckResult("model_step_mixup", steps[1].result(), 1e-6))
+def gradient_check_suite() -> list[CheckResult]:
+    """Run every component check; used by both the CLI and the acceptance tests."""
+    results = _op_checks()
+    results.append(CheckResult("model_step", _model_step_error(False), 1e-6))
+    results.append(CheckResult("model_step_mixup", _model_step_error(True), 1e-6))
     return results
 
 
-def _op_checks(seed: int, h: float) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def _op_checks() -> list[CheckResult]:
+    rng = np.random.default_rng(SEED)
     results: list[CheckResult] = []
 
     def record(name, op, inputs, tol, probe_shape=None):
         f = op if probe_shape is None else scalarize(op, rng.uniform(-1, 1, probe_shape))
-        results.append(CheckResult(name, grad_check(f, inputs, h=h), tol))
+        results.append(CheckResult(name, grad_check(f, inputs, H), tol))
 
     a = rng.uniform(-2, 2, (3, 4))
     b = rng.uniform(-2, 2, (4, 2))

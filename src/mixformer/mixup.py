@@ -100,17 +100,17 @@ def make_plan(batch_size: int, config: MixupConfig, rng: np.random.Generator) ->
 
 
 def mix_representations(h, plan: MixPlan) -> DualResult:
-    """out[k] = lam * h[k] + (1 - lam) * h[perm[k]].
+    """out[k] = lam * h[k] + (1 - lam) * h[perm[k]], over the rows of h [..., b, d].
 
     backward routes the upstream gradient to both members of each pair:
     dH[k] += lam * g[k] and dH[perm[k]] += (1 - lam) * g[k], which is what
     keeps the mixed representation trainable end to end.
     """
     h = as_tensor(h)
-    if plan.perm.shape[0] != h.shape[0]:
-        raise ValueError(f"plan covers {plan.perm.shape[0]} rows but batch has {h.shape[0]}")
+    if h.ndim < 2 or plan.perm.shape[0] != h.shape[-2]:
+        raise ValueError(f"plan covers {plan.perm.shape[0]} rows but batch has shape {h.shape}")
     lam = plan.lam
-    out = lam * h + (1.0 - lam) * h[plan.perm]
+    out = lam * h + (1.0 - lam) * h[..., plan.perm, :]
 
     def backward(g):
         dh = lam * g

@@ -104,25 +104,36 @@ class Parameters:
     in the given order (the save-file order); values are copied in, gradients
     are what the last backward wrote. `m` and `v` are the Adam moments, flat like
     `flat`; `matrix_mask` is 1.0 on entries of tensors with two or more axes.
+    Given `flat`, `values` gives only names and shapes for views of it. A stack
+    `flat` [S, n] (matrices [S, k, m], vectors [S, 1, m]) is for forward passes:
+    it has no gradient or moments, so a backward through it fails.
     """
 
-    def __init__(self, config: ModelConfig, values: dict[str, Array]):
+    def __init__(self, config: ModelConfig, values: dict[str, Array], flat: Array | None = None):
         self.config = config
-        sizes = [np.size(v) for v in values.values()]
-        self.flat = np.empty(sum(sizes))
-        self.grad = np.zeros_like(self.flat)
-        self.matrix_mask = np.empty(sum(sizes))
-        self.values, self.grads = {}, {}
-        off = 0
-        for (name, value), n in zip(values.items(), sizes):
-            view = self.flat[off : off + n].reshape(np.shape(value))
-            view[...] = value
-            self.values[name] = view
-            self.grads[name] = self.grad[off : off + n].reshape(view.shape)
-            self.matrix_mask[off : off + n] = float(view.ndim >= 2)
-            off += n
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        shapes = {name: np.shape(value) for name, value in values.items()}
+        if flat is None:
+            flat = np.concatenate([np.ravel(value) for value in values.values()], dtype=np.float64)
+        self.flat = flat
+        self.values = _views(flat, shapes)
+        if flat.ndim > 1:
+            return  # a stack: forward passes only
+        self.grad = np.zeros_like(flat)
+        self.grads = _views(self.grad, shapes)
+        self.matrix_mask = np.concatenate([np.full(v.size, float(v.ndim >= 2)) for v in self.values.values()])
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+
+
+def _views(buf: Array, shapes: dict[str, tuple[int, ...]]) -> dict[str, Array]:
+    """Consecutive views of the last axis of `buf`; over a stack, a vector gets a row axis."""
+    lead, views, off = buf.shape[:-1], {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        row = (1,) if lead and len(shape) == 1 else ()
+        views[name] = buf[..., off : off + n].reshape(lead + row + shape)
+        off += n
+    return views
 
 
 def init_params(config: ModelConfig) -> Parameters:
@@ -180,17 +191,17 @@ def _norm(x2d: Array, params: Parameters, prefix: str) -> DualResult:
 
 
 def _split_heads(x2d: Array, b: int, L: int, H: int, dh: int) -> Array:
-    return x2d.reshape(b, L, H, dh).transpose(0, 2, 1, 3)
+    return x2d.reshape(x2d.shape[:-2] + (b, L, H, dh)).swapaxes(-3, -2)
 
 
 def _merge_heads(x4d: Array, b: int, L: int, H: int, dh: int) -> Array:
-    return x4d.transpose(0, 2, 1, 3).reshape(b * L, H * dh)
+    return x4d.swapaxes(-3, -2).reshape(x4d.shape[:-4] + (b * L, H * dh))
 
 
 def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, p_drop: float,
            rng: np.random.Generator | None) -> DualResult:
-    """One post-norm block over x [b, L, d]; the output is [b, Lq, d], the
-    block's first Lq query positions. K and V cover all L positions.
+    """One post-norm block over x [(S,) b, L, d]; the output is [(S,) b, Lq, d],
+    the block's first Lq query positions. K and V cover all L positions.
 
     Dropout masks are drawn from `rng` when p_drop > 0, attention's before the
     FFN's, at the full [b, H, L, L] and [b, L, d] shapes. The backward maps a
@@ -200,12 +211,12 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
     block's parameter gradients.
     """
     p = prefix
-    b, L, d = x.shape
+    lead, (b, L, d) = x.shape[:-3], x.shape[-3:]
     H = params.config.n_heads
     dh = d // H
     inv_scale = 1.0 / math.sqrt(dh)
-    xf = x.reshape(b * L, d)
-    xqf = x[:, :Lq, :].reshape(b * Lq, d)
+    xf = x.reshape(lead + (b * L, d))
+    xqf = x[..., :Lq, :].reshape(lead + (b * Lq, d))
     q_lin = _linear(xqf, params, p + "attn.wq", p + "attn.bq")
     k_lin = _linear(xf, params, p + "attn.wk", p + "attn.bk")
     v_lin = _linear(xf, params, p + "attn.wv", p + "attn.bv")
@@ -213,8 +224,8 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
     K = _split_heads(k_lin.output, b, L, H, dh)
     V = _split_heads(v_lin.output, b, L, H, dh)
     scores = (Q @ K.swapaxes(-1, -2)) * inv_scale + key_bias
-    sm = softmax_rows(scores.reshape(b * H * Lq, L))
-    attn = sm.output.reshape(b, H, Lq, L)
+    sm = softmax_rows(scores)
+    attn = sm.output
     if p_drop > 0.0:
         attn_keep = (rng.random((b, H, L, L))[:, :, :Lq] >= p_drop) / (1.0 - p_drop)
         attn_used = attn * attn_keep
@@ -244,8 +255,7 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
         dV = attn_used.swapaxes(-1, -2) @ dctx
         if attn_keep is not None:
             dattn = dattn * attn_keep
-        (dscores_flat,) = sm.backward(dattn.reshape(b * H * Lq, L))
-        dscores = dscores_flat.reshape(b, H, Lq, L) * inv_scale
+        dscores = sm.backward(dattn)[0] * inv_scale
         (dxq,) = q_lin.backward(_merge_heads(dscores @ K, b, Lq, H, dh))
         dxf = np.zeros((b, L, d))
         dxf[:, :Lq] = (dres1 + dxq).reshape(b, Lq, d)
@@ -254,7 +264,7 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
         dxf += v_lin.backward(_merge_heads(dV, b, L, H, dh))[0]
         return (dxf.reshape(b, L, d),)
 
-    return DualResult(ln2.output.reshape(b, Lq, d), backward)
+    return DualResult(ln2.output.reshape(lead + (b, Lq, d)), backward)
 
 
 def encode(
@@ -292,7 +302,7 @@ def encode(
         raise ValueError("train-mode dropout requires an rng")
 
     emb_scale = math.sqrt(d)
-    x = params.values["embed.tok"][ids] * emb_scale + sinusoidal_positions(L, d)
+    x = np.take(params.values["embed.tok"], ids, axis=-2) * emb_scale + sinusoidal_positions(L, d)
     key_bias = (1.0 - mask.astype(np.float64))[:, None, None, :] * MASKED_SCORE
     blocks: list[DualResult] = []
     for i in range(cfg.n_layers):
@@ -300,7 +310,7 @@ def encode(
         blocks.append(_block(params, f"layer{i}.", x, key_bias, Lq, p_drop, rng))
         x = blocks[-1].output
 
-    pool_lin = _linear(x[:, 0, :], params, "pooler.w", "pooler.b")
+    pool_lin = _linear(x[..., 0, :], params, "pooler.w", "pooler.b")
     pooled = np.tanh(pool_lin.output)
 
     def backward(g):
@@ -318,7 +328,7 @@ def head_forward(params: Parameters, pooled) -> DualResult:
     """Affine task head over pooled vectors; backward writes the head's views in
     `params.grads` and returns (dpooled,)."""
     pooled = np.asarray(pooled, dtype=np.float64)
-    if pooled.ndim != 2 or pooled.shape[1] != params.config.d_model:
+    if pooled.ndim < 2 or pooled.shape[-1] != params.config.d_model:
         raise ValueError(
             f"pooled width {pooled.shape} does not match d_model {params.config.d_model}"
         )

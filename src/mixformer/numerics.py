@@ -18,6 +18,7 @@ Array = np.ndarray
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+GRAD_CHECK_CHUNK = 64  # coordinates per stacked call of f in grad_check: 128 copies
 
 
 def as_tensor(x) -> Array:
@@ -35,7 +36,8 @@ class DualResult:
     except that `cross_entropy_soft` takes its targets to be distributions.
     Ops that read model parameters (`model._linear`, `model._norm`) write
     those parameters' gradients into `Parameters.grads` in place and return
-    input gradients only.
+    input gradients only. A forward also runs over a stack of copies (extra
+    leading axes) and a loss gives one value per copy; backward does not.
     """
 
     output: Array | float
@@ -43,14 +45,14 @@ class DualResult:
 
 
 def matmul(a, b) -> DualResult:
-    """out = a @ b; backward: dA = g @ b.T, dB = a.T @ g."""
+    """out = a @ b over the last two axes; backward: dA = g @ b.T, dB = a.T @ g."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     out = a @ b
 
     def backward(g):
-        return g @ b.T, a.T @ g
+        return g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g
 
     return DualResult(out, backward)
 
@@ -127,38 +129,38 @@ def cross_entropy_soft(logits, targets) -> DualResult:
     Precondition, not checked here: each target row is a distribution (entries
     in [0, 1] summing to 1). `data.batches` builds one-hot rows from labels
     checked at load, and `mix_labels` convex combinations of them. Targets may
-    be soft; the loss is exactly linear in them.
+    be soft; the loss is exactly linear in them. Stacked logits share targets.
     backward on logits: (softmax(logits) - targets) / batch.
     """
     logits, targets = as_tensor(logits), as_tensor(targets)
-    if logits.shape != targets.shape or logits.ndim != 2:
+    if targets.ndim != 2 or logits.shape[-2:] != targets.shape:
         raise ValueError(
             f"cross_entropy_soft shape mismatch: logits {logits.shape} vs targets {targets.shape}"
         )
-    b = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    b = targets.shape[0]
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
     logp = logits - lse
-    loss = float((-(targets * logp).sum(axis=1)).sum() / b)  # bitwise .mean(), minus its Python-level wrapper
+    loss = (-(targets * logp).sum(axis=-1)).sum(axis=-1) / b  # bitwise .mean(), minus its Python-level wrapper
 
     def backward(g):
         return ((np.exp(logp) - targets) * (g / b),)
 
-    return DualResult(loss, backward)
+    return DualResult(float(loss) if loss.ndim == 0 else loss, backward)
 
 
 def mse(pred, target) -> DualResult:
     """Mean squared error; backward on pred: 2 * (pred - target) / n."""
     pred, target = as_tensor(pred), as_tensor(target)
-    if pred.shape != target.shape:
+    if pred.shape[pred.ndim - target.ndim :] != target.shape:
         raise ValueError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
-    loss = float((diff * diff).mean())
+    loss = (diff * diff).mean(axis=tuple(range(-target.ndim, 0)))
 
     def backward(g):
         return (diff * (2.0 * g / pred.size),)
 
-    return DualResult(loss, backward)
+    return DualResult(float(loss) if loss.ndim == 0 else loss, backward)
 
 
 def scalarize(op: Callable[..., DualResult], weights) -> Callable[..., DualResult]:
@@ -168,10 +170,11 @@ def scalarize(op: Callable[..., DualResult], weights) -> Callable[..., DualResul
     to ops whose natural output is a tensor.
     """
     weights = as_tensor(weights)
+    axes = tuple(range(-weights.ndim, 0))
 
     def f(*inputs):
         dual = op(*inputs)
-        value = float((dual.output * weights).sum())
+        value = (dual.output * weights).sum(axis=axes)
         return DualResult(value, lambda g: dual.backward(g * weights))
 
     return f
@@ -186,8 +189,11 @@ def grad_check(
 
     f must be a deterministic scalar function of the given tensors; its
     DualResult.backward, applied to 1.0, must yield one gradient per input.
-    Relative error per coordinate is |a - n| / max(1, |a|, |n|). Inputs are
-    perturbed in place during the sweep and restored exactly afterwards.
+    Relative error per coordinate is |a - n| / max(1, |a|, |n|). f runs twice
+    on the inputs, backward once. Then each call of f gets one input as a stack
+    of copies, +h and then -h in each of up to GRAD_CHECK_CHUNK coordinates,
+    along a leading axis padded to the highest input rank; the other inputs are
+    as given. f returns one value per copy. The inputs are never written.
     """
     if h <= 0:
         raise ValueError(f"grad_check step h must be positive, got {h}")
@@ -198,29 +204,26 @@ def grad_check(
         raise RuntimeError(
             "grad_check requires a deterministic function: two forward passes disagree"
         )
-    # Backward runs before any coordinate is perturbed: backward closures may
-    # read the inputs by reference (the training step reads the parameter
-    # views), so it must see them exactly as the base forward pass did.
     analytic = dual.backward(1.0)
     if len(analytic) != len(inputs):
         raise ValueError(
             f"backward returned {len(analytic)} gradients for {len(inputs)} inputs"
         )
 
-    max_err = 0.0  # np.maximum, not max: a NaN error must stick
-    for x, a in zip(inputs, analytic):
+    rank = max(x.ndim for x in inputs)
+    max_err = 0.0  # np.maximum and np.max, not max: a NaN error must stick
+    for j, (x, a) in enumerate(zip(inputs, analytic)):
         a = as_tensor(a)
         if a.shape != x.shape:
             raise ValueError(f"gradient shape {a.shape} does not match input {x.shape}")
-        flat_x, flat_a = x.ravel(), a.ravel()
-        for i in range(flat_x.size):
-            orig = flat_x[i]
-            flat_x[i] = orig + h
-            fp = float(f(*inputs).output)
-            flat_x[i] = orig - h
-            fm = float(f(*inputs).output)
-            flat_x[i] = orig
-            num = (fp - fm) / (2.0 * h)
-            ana = flat_a[i]
-            max_err = np.maximum(max_err, abs(ana - num) / max(1.0, abs(ana), abs(num)))
+        flat_x, flat_a, stacked = x.ravel(), a.ravel(), list(inputs)
+        for start in range(0, x.size, GRAD_CHECK_CHUNK):
+            idx = np.arange(start, min(start + GRAD_CHECK_CHUNK, x.size))
+            copies = np.tile(flat_x, (2, idx.size, 1))
+            copies[:, np.arange(idx.size), idx] = flat_x[idx] + np.array([[h], [-h]])
+            stacked[j] = copies.reshape((2 * idx.size,) + (1,) * (rank - x.ndim) + x.shape)
+            fp, fm = np.asarray(f(*stacked).output, dtype=np.float64).reshape(2, idx.size)
+            num, ana = (fp - fm) / (2.0 * h), flat_a[idx]
+            err = np.abs(ana - num) / np.maximum(np.maximum(1.0, np.abs(ana)), np.abs(num))
+            max_err = np.maximum(max_err, np.max(err))
     return float(max_err)

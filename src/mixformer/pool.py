@@ -1,4 +1,4 @@
-"""The process pool behind `sweep --jobs N` and gradcheck's two model-step checks.
+"""The process pool behind `sweep --jobs N`.
 
 `concurrent.futures` (and `logging` with it) and `multiprocessing` are
 imported inside `fork_pool`, so that commands that never build a pool, such

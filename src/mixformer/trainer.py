@@ -109,7 +109,8 @@ def step_loss(
     mixup_rng: np.random.Generator | None = None,
     plan: MixPlan | None = None,
 ) -> DualResult:
-    """Forward pass of one training step; output is the float loss.
+    """Forward pass of one training step; output is the float loss, or one per
+    copy of a stacked `params`, all sharing the batch, plan and dropout masks.
 
     When mixing is active the pooled representations and the label rows are
     interpolated with the same plan before the head. The returned backward
@@ -127,7 +128,7 @@ def step_loss(
     mix = None
     if mix_active:
         if plan is None:
-            plan = make_plan(h.shape[0], mixup_config, mixup_rng)
+            plan = make_plan(h.shape[-2], mixup_config, mixup_rng)
         mix = mix_representations(h, plan)
         h = mix.output
         y = mix_labels(y, plan)
@@ -135,7 +136,7 @@ def step_loss(
     logits = head.output
     classification = params.config.head == "classification"
     loss_dual = cross_entropy_soft(logits, y) if classification else mse(logits, y)
-    loss = float(loss_dual.output)
+    loss = loss_dual.output
 
     bad = _first_nonfinite(
         [

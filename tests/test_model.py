@@ -10,6 +10,7 @@ from mixformer.errors import InputError
 from mixformer.model import (
     EncodedBatch,
     ModelConfig,
+    Parameters,
     encode,
     head_forward,
     init_params,
@@ -272,19 +273,21 @@ class TestEncode:
     def test_full_parameter_gradient_check(self, tiny_params, tiny_batch):
         rng = np.random.default_rng(14)
         probe = rng.uniform(-1, 1, (2, 8))
-        names = [n for n in tiny_params.values if not n.startswith("head.")]
 
-        def f(*_):
-            dual = encode(tiny_params, tiny_batch)
-            value = float((dual.output * probe).sum())
+        # Over every coordinate of `flat`: encode reads no head parameter, so
+        # along the head's both gradients are 0.
+        def f(flat):
+            params = Parameters(tiny_params.config, tiny_params.values, flat)
+            dual = encode(params, tiny_batch)
+            value = (dual.output * probe).sum(axis=(-2, -1))
 
             def backward(g):
                 dual.backward(float(g) * probe)
-                return tuple(tiny_params.grads[n] for n in names)
+                return (params.grad,)
 
             return DualResult(value, backward)
 
-        err = grad_check(f, [tiny_params.values[n] for n in names], h=1e-5)
+        err = grad_check(f, [tiny_params.flat], h=1e-5)
         assert err < 1e-6
 
 
@@ -333,17 +336,20 @@ class TestHeadForward:
         pooled = rng.uniform(-1, 1, (3, 8))
         probe = rng.uniform(-1, 1, (3, 2))
 
-        def f(*_):
-            dual = head_forward(tiny_params, pooled)
-            value = float((dual.output * probe).sum())
+        # Over every coordinate of `flat`: the head reads head.w and head.b
+        # only, so along the others both gradients are 0.
+        def f(flat):
+            params = Parameters(tiny_params.config, tiny_params.values, flat)
+            dual = head_forward(params, pooled)
+            value = (dual.output * probe).sum(axis=(-2, -1))
 
             def backward(g):
                 dual.backward(float(g) * probe)
-                return (tiny_params.grads["head.w"],)
+                return (params.grad,)
 
             return DualResult(value, backward)
 
-        err = grad_check(f, [tiny_params.values["head.w"]], h=1e-5)
+        err = grad_check(f, [tiny_params.flat], h=1e-5)
         assert err < 1e-6
 
     def test_width_mismatch(self, tiny_params):

@@ -176,7 +176,7 @@ class TestMse:
 class TestGradCheck:
     def test_quadratic_exact_under_central_differences(self):
         def f(x):
-            return DualResult(float((x * x).sum()), lambda g: (2.0 * x * float(g),))
+            return DualResult((x * x).sum(axis=-1), lambda g: (2.0 * x * float(g),))
 
         err = grad_check(f, [np.array([1.0, 2.0])], h=1e-5)
         analytic = f(np.array([1.0, 2.0])).backward(1.0)[0]
@@ -187,21 +187,21 @@ class TestGradCheck:
         w = np.array([0.3, -1.2, 0.7])
 
         def f(x):
-            return DualResult(float((w * x).sum()), lambda g: (w * float(g),))
+            return DualResult((w * x).sum(axis=-1), lambda g: (w * float(g),))
 
         err = grad_check(f, [np.array([0.1, 0.2, -0.4])], h=1e-5)
         assert err < 1e-10
 
     def test_detects_corrupted_gradient(self):
         def f(x):
-            return DualResult(float((x * x).sum()), lambda g: (2.2 * x * float(g),))
+            return DualResult((x * x).sum(axis=-1), lambda g: (2.2 * x * float(g),))
 
         err = grad_check(f, [np.array([1.0, 2.0])], h=1e-5)
         assert err > 1e-2
 
     def test_nan_gradient_fails_even_before_finite_ones(self):
         def f(x):
-            return DualResult(float((x * x).sum()), lambda g: (np.array([np.nan, 2.0 * x[1]]),))
+            return DualResult((x * x).sum(axis=-1), lambda g: (np.array([np.nan, 2.0 * x[1]]),))
 
         assert np.isnan(grad_check(f, [np.array([1.0, 2.0])], h=1e-5))
 
@@ -222,15 +222,14 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="positive"):
             grad_check(f, [np.zeros(2)], h=0.0)
 
-    def test_inputs_restored_after_sweep(self):
+    def test_read_only_inputs_pass(self):
         x = np.array([1.0, 2.0, 3.0])
-        orig = x.copy()
+        x.flags.writeable = False
 
         def f(t):
-            return DualResult(float((t * t).sum()), lambda g: (2.0 * t * float(g),))
+            return DualResult((t * t).sum(axis=-1), lambda g: (2.0 * t * float(g),))
 
-        grad_check(f, [x])
-        np.testing.assert_array_equal(x, orig)
+        assert grad_check(f, [x]) < 1e-9
 
 
 def op_cases():

@@ -197,11 +197,12 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("mix", [False, True])
     def test_model_step_check_runs_forward_passes_and_one_backward(self, monkeypatch, mix):
+        # Counted in evaluated copies: a stacked call evaluates one per copy.
         counts = {"forward": 0, "backward": 0}
 
         def counting(*args, **kwargs):
-            counts["forward"] += 1
             step = step_loss(*args, **kwargs)
+            counts["forward"] += np.size(step.output)
 
             def backward(g):
                 counts["backward"] += 1
@@ -210,7 +211,7 @@ class TestTrainStep:
             return DualResult(step.output, backward)
 
         monkeypatch.setattr(checks_mod, "step_loss", counting)
-        checks_mod._model_step_error(mix, 1e-5)
+        checks_mod._model_step_error(mix)
         n_params = checks_mod._tiny_setup(mix)[0].flat.size
         assert n_params == 778
         assert counts == {"forward": 2 + 2 * n_params, "backward": 1}
@@ -232,10 +233,36 @@ class TestTrainStep:
         mix_cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
         plan = MixPlan(0.35, np.array([1, 0]))
 
-        def f(_):
-            return step_loss(params, batch, True, mix_cfg, np.random.default_rng(11), plan=plan)
+        def f(flat):
+            return step_loss(Parameters(cfg, params.values, flat), batch, True, mix_cfg,
+                             np.random.default_rng(11), plan=plan)
 
         assert grad_check(f, [params.flat], h=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("head,labels", [
+        ("classification", [[1.0, 0.0], [0.0, 1.0]]),
+        ("regression", [[0.2], [1.4]]),
+    ])
+    def test_stacked_step_loss_equals_each_copy_bitwise(self, tiny_config, tiny_batch, head, labels):
+        cfg = replace(tiny_config, n_layers=2, head=head, dropout_rate=0.1)
+        params = init_params(cfg)
+        batch = EncodedBatch(tiny_batch.token_ids, tiny_batch.attention_mask, np.array(labels))
+        mix_cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
+        plan = MixPlan(0.35, np.array([1, 0]))
+        stack = params.flat + np.random.default_rng(6).normal(0.0, 0.05, (5, params.flat.size))
+
+        def loss(flat):
+            return step_loss(Parameters(cfg, params.values, flat), batch, True, mix_cfg,
+                             np.random.default_rng(11), plan=plan)
+
+        stacked = loss(stack)
+        assert stacked.output.shape == (5,)
+        for copy, value in zip(stack, stacked.output):
+            single = loss(copy).output
+            assert isinstance(single, float) and value.tobytes() == np.float64(single).tobytes()
+        assert len(set(stacked.output.tolist())) == 5
+        with pytest.raises(AttributeError, match="grads"):
+            stacked.backward(1.0)
 
     def test_consecutive_steps_reuse_the_views_and_overwrite_them(self, tiny_params, tiny_batch):
         cfg = MixupConfig(lambda_policy=FixedLambda(0.35))
