@@ -24,7 +24,6 @@ from .data import (N_RESERVED, Dataset, LabelClasses, LabelRegression, TaskSpec,
 from .errors import InputError, NonFiniteLossError
 from .mixup import BetaLambda, FixedLambda, MixupConfig, epochs_before_mixing
 from .model import ModelConfig, load_params, save_params
-from .pool import fork_pool
 from .trainer import EpochReport, TrainConfig, TrainState, evaluate, run_training, start_state
 
 DEFAULT_FRACTIONS = [i / 10 for i in range(1, 11)]
@@ -345,8 +344,8 @@ def cmd_eval(args) -> int:
 
 
 # The datasets, vocabulary size and runs/ directory that every sweep cell shares,
-# set by `cmd_sweep` for the length of one sweep. Pool workers inherit them
-# through fork, so a unit's payload is its list of RunConfigs alone.
+# set by `cmd_sweep` for the length of one sweep. Forked children inherit them,
+# so a unit's payload is its list of RunConfigs alone.
 _sweep_shared: tuple[Dataset, Dataset, int, str] | None = None
 
 
@@ -394,14 +393,9 @@ def _run_sweep_group(cells: list[RunConfig]):
         yield _run_sweep_cell(cell, subset, state)
 
 
-def _run_sweep_unit(cells: list[RunConfig]) -> list:
-    """`_run_sweep_group` as one pool call."""
-    return list(_run_sweep_group(cells))
-
-
 def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[int]]:
     """The cell indices of each unit of work: a group per (fraction, seed), or
-    one cell each when there are fewer groups than jobs, so no worker idles."""
+    one cell each when there are fewer groups than jobs, so no process idles."""
     groups: dict[tuple, list[int]] = {}
     for i, cell in enumerate(cells):
         groups.setdefault((cell.fraction, cell.train.seed), []).append(i)
@@ -446,13 +440,14 @@ def cmd_sweep(args) -> int:
     _make_out_dir(runs_dir)
     units = _sweep_units(cells, args.jobs)
     payloads = [[cells[i] for i in unit] for unit in units]
-    done, pool = [None] * len(cells), None
+    from .pool import fork_map
+
+    done = [None] * len(cells)
     global _sweep_shared
+    _sweep_shared = (train_ds, dev_ds, vocab.size, runs_dir)
+    # Children fork at the first result and inherit _sweep_shared; no more processes than there are units.
+    outcomes = fork_map(_run_sweep_group, payloads, args.jobs)
     try:
-        _sweep_shared = (train_ds, dev_ds, vocab.size, runs_dir)
-        # Workers fork on the first map and inherit _sweep_shared; no more of them than there are units.
-        pool = fork_pool(min(args.jobs, len(units))) if args.jobs > 1 else None
-        outcomes = pool.map(_run_sweep_unit, payloads) if pool else map(_run_sweep_group, payloads)
         results = ((i, result) for unit, unit_results in zip(units, outcomes) for i, result in zip(unit, unit_results))
         for k, (i, (metric, error)) in enumerate(results, 1):
             cell = cells[i]
@@ -462,9 +457,8 @@ def cmd_sweep(args) -> int:
             done[i] = (cell, metric, error)
     finally:
         # After an interrupt, units not yet started are dropped and only the running ones finish.
-        if pool:
-            pool.shutdown(cancel_futures=True)
         _sweep_shared = None
+        outcomes.close()
 
     import csv
 
@@ -578,7 +572,7 @@ def _keep_heap() -> None:
     """Stop glibc from handing freed heap back to the OS and from mmapping
     arrays below 32 MiB, so that training steps reuse their pages instead of
     faulting them in again (110 to 145 minor faults per step on the synthetic
-    config, none with this). Forked workers inherit the settings. Does nothing
+    config, none with this). Forked sweep children inherit the settings. Does nothing
     where libc has no mallopt (AttributeError, as on macOS) or there is no C
     library to open by None (TypeError on Windows, OSError)."""
     try:

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import json
@@ -225,7 +224,7 @@ def without_wall_times(report):
 
 
 def count_calls(monkeypatch, module, name, path):
-    """Wrap `module.name` so that each call, here or in a forked worker, appends a byte to `path`."""
+    """Wrap `module.name` so that each call, here or in a forked child, appends a byte to `path`."""
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -234,6 +233,86 @@ def count_calls(monkeypatch, module, name, path):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def start_40_cell_sweep(tmp_path):
+    """Start `sweep --jobs 2` over 40 cells in a session of its own, its stderr on a pipe;
+    return the process, that pipe's read end, the parent's child pids and the output directory,
+    once the first progress line has arrived."""
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--out", str(data), "--train-size", "400", "--dev-size", "48",
+                 "--seed", "3"]) == 0
+    out = tmp_path / "sweep"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mixformer.cli", "sweep", "--config", str(data / "config.json"),
+         "--out", str(out), "--arms", "both", "--seeds", "1,2", "--jobs", "2",
+         "--set", "train.epochs=2", "--set", "model.max_len=16"],
+        env=env, stdout=subprocess.DEVNULL, stderr=write_end, start_new_session=True)
+    os.close(write_end)
+    stderr = os.fdopen(read_end, "rb")
+    try:
+        assert stderr.readline().startswith(b"sweep: 1/40 ")
+        children = [int(pid) for f in Path(f"/proc/{proc.pid}/task").glob("*/children")
+                    for pid in f.read_text().split()]
+        assert len(children) == 1  # the parent runs units itself, beside one forked child
+    except BaseException:
+        stop_sweep(proc, stderr)
+        raise
+    return proc, stderr, children, out
+
+
+def block_on_stderr(proc, stderr):
+    """Fill the sweep's stderr pipe and wait until the parent blocks writing its next
+    progress line, as under a slow reader of its output: outside any file write."""
+    # A file description of our own, so that the parent's stays blocking.
+    filler = os.open(f"/proc/self/fd/{stderr.fileno()}", os.O_WRONLY | os.O_NONBLOCK)
+    for size in (4096, 1):
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                os.write(filler, b"x" * size)
+    os.close(filler)
+    wchan = Path(f"/proc/{proc.pid}/task/{proc.pid}/wchan")
+    deadline = time.monotonic() + 30
+    while "pipe_write" not in wchan.read_text():
+        assert time.monotonic() < deadline, "the parent never blocked on its stderr"
+        time.sleep(0.01)
+
+
+def stop_outside_a_write(pid, runs):
+    """SIGSTOP `pid` at a moment when no `.tmp` is in `runs`, so that it is not inside a write."""
+    deadline = time.monotonic() + 30
+    while True:
+        os.kill(pid, signal.SIGSTOP)
+        while process_state(pid) != "T":
+            assert time.monotonic() < deadline, f"process {pid} never stopped"
+            time.sleep(0.001)
+        if not any(path.suffix == ".tmp" for path in runs.iterdir()):
+            return
+        os.kill(pid, signal.SIGCONT)
+        time.sleep(0.005)
+
+
+def stop_sweep(proc, stderr):
+    """Kill whatever is left of the sweep's session, its orphans too."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+    stderr.close()
+
+
+def process_state(pid):
+    """The state letter of `pid` in /proc ("R", "S", "T", "Z", ...), or None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def alive(pid):
+    return process_state(pid) not in (None, "Z")
 
 
 class TestSweep:
@@ -356,57 +435,46 @@ class TestSweep:
             assert read_json(path)["run_id"] + ".json" == path.name
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads worker pids and states from /proc")
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids and states from /proc")
     def test_sigint_to_the_parent_alone_drops_the_cells_not_started(self, tmp_path):
         # The interrupt must land while the parent is outside the loop that waits
         # for results: a stderr pipe that nobody reads blocks it in its next
         # progress line, as a slow reader of its output would.
-        data = tmp_path / "data"
-        assert main(["gen-synthetic", "--out", str(data), "--train-size", "400", "--dev-size", "48",
-                     "--seed", "3"]) == 0
-        out = tmp_path / "sweep"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-        read_end, write_end = os.pipe()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "mixformer.cli", "sweep", "--config", str(data / "config.json"),
-             "--out", str(out), "--arms", "both", "--seeds", "1,2", "--jobs", "2",
-             "--set", "train.epochs=2", "--set", "model.max_len=16"],
-            env=env, stdout=subprocess.DEVNULL, stderr=write_end, start_new_session=True)
-        stderr = os.fdopen(read_end, "rb")
+        proc, stderr, children, out = start_40_cell_sweep(tmp_path)
         try:
-            assert stderr.readline().startswith(b"sweep: 1/40 ")
-            workers = [int(pid) for f in Path(f"/proc/{proc.pid}/task").glob("*/children")
-                       for pid in f.read_text().split()]
-            assert len(workers) == 2
-            os.close(write_end)
-            # A file description of our own, so that the parent's stays blocking.
-            filler = os.open(f"/proc/self/fd/{read_end}", os.O_WRONLY | os.O_NONBLOCK)
-            for size in (4096, 1):
-                with contextlib.suppress(BlockingIOError):
-                    while True:
-                        os.write(filler, b"x" * size)
-            os.close(filler)
-            wchan = Path(f"/proc/{proc.pid}/task/{proc.pid}/wchan")
-            deadline = time.monotonic() + 30
-            while "pipe_write" not in wchan.read_text():
-                assert time.monotonic() < deadline, "the parent never blocked on its stderr"
-                time.sleep(0.01)
+            block_on_stderr(proc, stderr)
             proc.send_signal(signal.SIGINT)
             deadline = time.monotonic() + 60
             while select.select([stderr], [], [], max(0.0, deadline - time.monotonic()))[0]:
                 if not stderr.read1():
-                    break  # EOF: the parent and both workers have closed the pipe
+                    break  # EOF: the parent and its child have closed the pipe
             assert proc.wait(timeout=max(0.0, deadline - time.monotonic())) != 0
         finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-            stderr.close()
-        for pid in workers:
-            stat = Path(f"/proc/{pid}/stat")
-            assert not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z", f"worker {pid} left"
+            stop_sweep(proc, stderr)
+        assert not any(map(alive, children)), children
         assert 0 < len(list((out / "runs").iterdir())) < 40
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids and states from /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+    def test_no_child_outlives_a_parent_killed_alone(self, tmp_path, sig):
+        proc, stderr, children, out = start_40_cell_sweep(tmp_path)
+        try:
+            # A kill inside a write leaves that file's .tmp, so neither process is in
+            # one. Stopped, the child cannot leave through its own failed send: only
+            # the signal the kernel sends it when its parent dies can end it.
+            block_on_stderr(proc, stderr)
+            stop_outside_a_write(children[0], out / "runs")
+            proc.send_signal(sig)
+            assert proc.wait(timeout=30) == -sig
+            time.sleep(1)
+            assert not any(map(alive, children)), children
+        finally:
+            stop_sweep(proc, stderr)
+        runs = list((out / "runs").iterdir())
+        assert 0 < len(runs) < 40 and all(path.suffix == ".json" for path in runs)  # no .tmp
+        for path in runs:
+            assert read_json(path)["run_id"] + ".json" == path.name
         assert not (out / "sweep.csv").exists()
 
     # A two-arm group under last_half trains epoch 1 of 3 once: 5 epochs where
@@ -414,7 +482,7 @@ class TestSweep:
     # and a one-arm group has nothing to share.
     @pytest.mark.parametrize("arms,schedule,jobs,share", [
         ("both", "last_half", "1", (5, 6)),
-        ("both", "last_half", "2", (5, 6)),  # 2 groups on 2 workers
+        ("both", "last_half", "2", (5, 6)),  # 2 groups on 2 processes
         ("both", "last_half", "4", (1, 1)),  # fewer groups than jobs: the cells go out one by one
         ("both", "always", "1", (1, 1)),
         ("mixup", "last_half", "1", (1, 1)),
@@ -536,24 +604,24 @@ class TestSweep:
 
     @pytest.mark.parametrize("arms,jobs,unit_size", [
         ("baseline", "4", 1),  # 2 groups are fewer than 4 jobs, so the cells go out one by one
-        ("both", "2", 2),  # 2 groups on 2 workers
+        ("both", "2", 2),  # 2 groups on 2 processes
     ], ids=["one-by-one", "groups"])
     def test_parallel_jobs_match_sequential(self, toy_dir, tmp_path, monkeypatch, capsys, arms, jobs, unit_size):
-        payloads, start_methods, pool_sizes, pool_kwargs = [], [], [], []
+        import mixformer.pool as pool_mod
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, mp_context=None, **kwargs):
-                pool_sizes.append(max_workers)
-                start_methods.append(mp_context.get_start_method())
-                pool_kwargs.append(kwargs)
-                super().__init__(max_workers, mp_context=mp_context, **kwargs)
+        payloads, forks, fork_counts = [], [], []
+        real_fork_map, real_fork = pool_mod.fork_map, os.fork
 
-            def map(self, fn, *iterables, **kwargs):
-                items = [list(it) for it in iterables]
-                payloads.extend(items[0])
-                return super().map(fn, *items, **kwargs)
+        def recording_fork_map(fn, items, n_jobs):
+            payloads.extend(items)
+            return real_fork_map(fn, items, n_jobs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        def counted_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(pool_mod, "fork_map", recording_fork_map)
+        monkeypatch.setattr(os, "fork", counted_fork)
         csvs, runs, progress = [], [], []
         for name, n_jobs in (("seq", "1"), ("par", jobs)):
             out = tmp_path / name
@@ -561,7 +629,9 @@ class TestSweep:
                        "--fractions", "0.5,1.0", "--arms", arms, "--seeds", "2",
                        "--jobs", n_jobs, *SMALL_MODEL])
             assert rc == 0
-            assert cli_mod._sweep_shared is None  # released after the sweep, with and without a pool
+            assert cli_mod._sweep_shared is None  # released after the sweep, with and without a child
+            fork_counts.append(len(forks))
+            forks.clear()
             csvs.append((out / "sweep.csv").read_bytes())
             reports = {}
             for path in sorted((out / "runs").glob("*.json")):
@@ -574,12 +644,10 @@ class TestSweep:
         assert csvs[0] == csvs[1]
         assert len(runs[0]) == 2 * unit_size and runs[0] == runs[1]
         assert len(progress[0]) == 2 * unit_size and progress[0] == progress[1]
-        # The datasets reach the workers through fork; a payload is a unit's list of configs.
-        assert len(payloads) == 2
+        # The datasets reach the child through fork; a payload is a unit's list of configs.
+        assert len(payloads) == 2 * 2  # 2 units for each of the two sweeps
         assert all(type(p) is list and [type(c) for c in p] == [RunConfig] * unit_size for p in payloads)
-        assert start_methods == ["fork"]  # named, not left to the platform default
-        assert pool_sizes == [2]  # no more workers than there are units
-        assert pool_kwargs == [{}]  # no initializer
+        assert fork_counts == [0, 1]  # --jobs 1 forks nothing; 2 units fork min(jobs, 2) - 1 = 1 child
 
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []

@@ -1,7 +1,7 @@
 """What the CLI sets up in its process, and what importing it costs.
 
-`cli.main` keeps glibc from trimming the heap between training steps; forked
-pool workers inherit that. Importing the CLI leaves out the modules that only
+`cli.main` keeps glibc from trimming the heap between training steps; the
+children that `sweep --jobs N` forks inherit that. Importing the CLI leaves out the modules that only
 some commands use.
 """
 
@@ -20,14 +20,14 @@ import mixformer.cli as cli_mod
 ROOT = Path(__file__).resolve().parents[1]
 
 # Minor page faults per training step after 10 warm-up steps, measured over 50
-# steps in this process and in a worker of a one-worker fork pool.
+# steps in this process and in the child of `fork_map` at jobs=2, which runs item 1 of 2.
 FAULTS_PER_STEP = """
 import json, resource, sys
 import numpy as np
 from mixformer import cli
 from mixformer.data import batches
 from mixformer.model import init_params
-from mixformer.pool import fork_pool
+from mixformer.pool import fork_map
 from mixformer.trainer import adam_update, train_step
 
 cli._keep_heap()
@@ -53,9 +53,8 @@ def faults_per_step():
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
 
 
-with fork_pool(1) as pool:
-    in_worker = pool.submit(faults_per_step).result(timeout=120)
-print(json.dumps({"main": faults_per_step(), "worker": in_worker}))
+in_main, in_child = [faults for (faults,) in fork_map(lambda item: [faults_per_step()], [0, 1], 2)]
+print(json.dumps({"main": in_main, "child": in_child}))
 """
 
 
@@ -71,11 +70,11 @@ def run_python(args, **kwargs):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt settings are glibc's")
 def test_training_steps_do_not_fault_heap_pages(tmp_path):
     # The gen-synthetic defaults: batch 8, d_model 32, 2 layers. Without the
-    # settings a step here takes 110 to 145 minor faults, a worker's about 250.
+    # settings a step here takes 110 to 145 minor faults, a forked child's about 250.
     data = tmp_path / "data"
     assert cli_mod.main(["gen-synthetic", "--out", str(data)]) == 0
     faults = json.loads(run_python(["-c", FAULTS_PER_STEP, str(data / "config.json")]))
-    assert faults["main"] < 2 and faults["worker"] < 2, faults
+    assert faults["main"] < 2 and faults["child"] < 2, faults
 
 
 def _raise(exc):
@@ -103,9 +102,13 @@ def test_cli_runs_where_libc_has_no_mallopt(tmp_path, monkeypatch, fake_cdll):
 
 
 def test_importing_the_cli_leaves_the_pool_modules_out():
-    # train and eval build no pool, so they should not pay for its imports, nor
-    # for those of gradcheck, gen-synthetic, the sweep table and the unknown-key hint.
+    # train and eval fork nothing, so they should not pay for the sweep's fork_map, nor
+    # for the imports of gradcheck, gen-synthetic, the sweep table and the unknown-key hint.
     loaded = run_python(["-c", "import sys, mixformer.cli; print(*sorted(sys.modules))"]).split()
-    command_only = ("concurrent.futures", "multiprocessing", "mixformer.checks", "mixformer.synthetic",
-                    "csv", "difflib")
+    command_only = ("concurrent.futures", "multiprocessing", "mixformer.pool", "mixformer.checks",
+                    "mixformer.synthetic", "csv", "difflib")
     assert [name for name in command_only if name in loaded] == []
+    # fork_map forks and pipes by hand: no process pool comes with it.
+    loaded = run_python(["-c", "import sys, mixformer.pool; print(*sorted(sys.modules))"]).split()
+    assert "mixformer.pool" in loaded
+    assert [name for name in ("concurrent.futures", "multiprocessing") if name in loaded] == []
