@@ -3,12 +3,13 @@
 The encoder is a fixed feed-forward pipeline: scaled token embeddings plus
 sinusoidal positions, a stack of post-norm self-attention blocks with key-side
 padding masks, then a tanh pooler over the position-0 hidden state. Since the
-pooler reads nothing else, the last block computes position 0 only. Each
-block is a DualResult, like every op inside it; encode's backward walks the
-blocks in reverse. Each parameter is read by one op per forward, `_linear` or
-`_norm` (the embedding table by `encode` itself), and that op's backward
-writes its gradient view in `Parameters.grads` in place and returns input
-gradients only.
+pooler reads nothing else, the last block computes position 0 only. In train
+mode each block is a DualResult, like every op inside it; encode's backward
+walks the blocks in reverse. Eval mode runs the same ops through a
+forward-only wiring that keeps nothing for a backward. Each parameter is read
+by one op per forward, `_linear` or `_norm` (the embedding table by `encode`
+itself), and that op's backward writes its gradient view in `Parameters.grads`
+in place and returns input gradients only.
 """
 
 from __future__ import annotations
@@ -267,6 +268,35 @@ def _block(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int, 
     return DualResult(ln2.output.reshape(lead + (b, Lq, d)), backward)
 
 
+def _block_eval(params: Parameters, prefix: str, x: Array, key_bias: Array, Lq: int) -> Array:
+    """`_block` without dropout, keeping nothing for a backward: the same ops in
+    the same order, each output taken at once so that each intermediate is freed
+    once the next op has read it. The output equals `_block`'s bit for bit."""
+    p = prefix
+    lead, (b, L, d) = x.shape[:-3], x.shape[-3:]
+    H = params.config.n_heads
+    dh = d // H
+    xf = x.reshape(lead + (b * L, d))
+    xqf = x[..., :Lq, :].reshape(lead + (b * Lq, d))
+    Q = _split_heads(_linear(xqf, params, p + "attn.wq", p + "attn.bq").output, b, Lq, H, dh)
+    K = _split_heads(_linear(xf, params, p + "attn.wk", p + "attn.bk").output, b, L, H, dh)
+    V = _split_heads(_linear(xf, params, p + "attn.wv", p + "attn.bv").output, b, L, H, dh)
+    attn = softmax_rows((Q @ K.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh)) + key_bias).output
+    del Q, K
+    ctx = _merge_heads(attn @ V, b, Lq, H, dh)
+    del attn, V
+    x1f = _norm(xqf + _linear(ctx, params, p + "attn.wo", p + "attn.bo").output, params, p + "attn.ln.").output
+    del ctx
+    act = gelu(_linear(x1f, params, p + "ffn.w1", p + "ffn.b1").output).output
+    ffn_out = _linear(act, params, p + "ffn.w2", p + "ffn.b2").output
+    del act
+    return _norm(x1f + ffn_out, params, p + "ffn.ln.").output.reshape(lead + (b, Lq, d))
+
+
+def _no_backward(g):
+    raise RuntimeError("eval mode keeps no backward state: run encode with train_mode=True to differentiate")
+
+
 def encode(
     params: Parameters,
     batch: EncodedBatch,
@@ -280,9 +310,11 @@ def encode(
     only in train mode, block by block at full shapes, so the stream does not
     depend on the pruning, and are reused exactly in backward.
 
-    The returned backward maps an upstream [b, d_model] gradient to the
-    encoder's parameter gradients: the ops that read them overwrite their views
-    in `params.grads` (every name but the head's), and it returns nothing.
+    In train mode the returned backward maps an upstream [b, d_model] gradient
+    to the encoder's parameter gradients: the ops that read them overwrite
+    their views in `params.grads` (every name but the head's), and it returns
+    nothing. Eval mode keeps no backward state (see `_block_eval`): its
+    backward raises. At dropout 0 both modes give the same output bit for bit.
     """
     cfg = params.config
     ids = np.asarray(batch.token_ids, dtype=np.int64)
@@ -307,9 +339,14 @@ def encode(
     blocks: list[DualResult] = []
     for i in range(cfg.n_layers):
         Lq = 1 if i == cfg.n_layers - 1 else L  # query positions this block computes
-        blocks.append(_block(params, f"layer{i}.", x, key_bias, Lq, p_drop, rng))
-        x = blocks[-1].output
+        if train_mode:
+            blocks.append(_block(params, f"layer{i}.", x, key_bias, Lq, p_drop, rng))
+            x = blocks[-1].output
+        else:
+            x = _block_eval(params, f"layer{i}.", x, key_bias, Lq)
 
+    if not train_mode:
+        return DualResult(np.tanh(_linear(x[..., 0, :], params, "pooler.w", "pooler.b").output), _no_backward)
     pool_lin = _linear(x[..., 0, :], params, "pooler.w", "pooler.b")
     pooled = np.tanh(pool_lin.output)
 

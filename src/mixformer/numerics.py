@@ -77,7 +77,7 @@ def softmax_rows(x) -> DualResult:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> DualResult:
     """Per-row zero-mean unit-variance normalization, scaled and shifted.
 
-    backward covers x, gain and bias.
+    backward covers x, gain and bias. It keeps `xhat` and `inv`, not `x`.
     """
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
@@ -93,8 +93,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> DualResult:
     out = xhat * gain + bias
 
     def backward(g):
-        dgain = (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0)
-        dbias = g.reshape(-1, x.shape[-1]).sum(axis=0)
+        dgain = (g * xhat).reshape(-1, n).sum(axis=0)
+        dbias = g.reshape(-1, n).sum(axis=0)
         dxhat = g * gain
         dx = inv * (
             dxhat

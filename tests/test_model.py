@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mixformer.model as model_mod
-from mixformer.data import PAD_ID, LabelClasses, TaskSpec, batches
+from mixformer.data import (PAD_ID, Dataset, LabelClasses, LabelRegression, TaskSpec, batches, build_vocab,
+                            encode_example)
 from mixformer.errors import InputError
 from mixformer.model import (
     EncodedBatch,
@@ -66,6 +68,42 @@ def six_rows_and_a_two_layer_model():
     ds, vocab = text_dataset(rows, task, max_len=16, split="dev")
     return ds, init_params(ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2,
                                        d_ff=16, max_len=16, seed=4))
+
+
+def ragged_rows_and_a_random_model(n_layers, arity, head):
+    """Eleven dev rows, single or pair input, whose sentences grow from 1 to 6
+    words every two rows, and a model with uniform(-0.5, 0.5) weights over
+    their vocabulary, at dropout 0. Its head width 6 has an inexact square
+    root, so a rewritten attention scale shows in the last bits."""
+    rng = np.random.default_rng(10 * n_layers + (arity == "pair") + 2 * (head == "regression"))
+    pair = arity == "pair"
+    if head == "classification":
+        task = TaskSpec("t", arity, LabelClasses(3), "accuracy", 1, 0, 2 if pair else None)
+    else:
+        task = TaskSpec("t", arity, LabelRegression(0.0, 1.0), "spearman", 1, 0, 2 if pair else None)
+
+    def sentence(i):
+        return " ".join(f"w{j}" for j in rng.integers(0, 15, 1 + i // 2))
+
+    rows = [(sentence(i), sentence(i) if pair else None, i % 3 if head == "classification" else i / 10)
+            for i in range(11)]
+    vocab = build_vocab([s for s1, s2, _ in rows for s in (s1, s2) if s is not None])
+    ds = Dataset(task, [encode_example(vocab, task, s1, s2, label, 14) for s1, s2, label in rows], "dev")
+    cfg = ModelConfig(vocab_size=vocab.size, d_model=12, n_heads=2, n_layers=n_layers, d_ff=16, max_len=14,
+                      head=head, n_classes=3, dropout_rate=0.0, seed=n_layers)
+    params = init_params(cfg)
+    params.flat[...] = rng.uniform(-0.5, 0.5, params.flat.size)
+    return ds, params
+
+
+def peak_traced_bytes(fn) -> int:
+    """The highest number of bytes traced by `tracemalloc` at once during `fn()`."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -194,6 +232,16 @@ class TestEncode:
     def test_step_gemm_shapes_pin_batch_width_and_last_block_pruning(self, monkeypatch):
         ds, params = six_rows_and_a_two_layer_model()
         (batch,) = batches(ds, len(ds.examples))
+        self.assert_six_row_gemm_shapes(
+            monkeypatch, lambda: step_loss(params, batch, False, MixupConfig(), np.random.default_rng(0)))
+
+    def test_eval_gemm_shapes_pin_batch_width_and_last_block_pruning(self, monkeypatch):
+        ds, params = six_rows_and_a_two_layer_model()
+        (batch,) = batches(ds, len(ds.examples))
+        self.assert_six_row_gemm_shapes(monkeypatch, lambda: head_forward(params, encode(params, batch).output))
+
+    @staticmethod
+    def assert_six_row_gemm_shapes(monkeypatch, run):
         shapes = []
         real = model_mod.matmul
 
@@ -202,7 +250,7 @@ class TestEncode:
             return real(a, b)
 
         monkeypatch.setattr(model_mod, "matmul", recording_matmul)
-        step_loss(params, batch, False, MixupConfig(), np.random.default_rng(0))
+        run()
         d, d_ff = 8, 16
         every, first = 6 * 7, 6  # 6 rows, the longest 7 tokens: all positions, or position 0 only
 
@@ -255,7 +303,7 @@ class TestEncode:
         assert a.tobytes() == b.tobytes()
 
     def test_backward_overwrites_the_encoder_gradients_and_leaves_the_head(self, tiny_params, tiny_batch):
-        enc = encode(tiny_params, tiny_batch)
+        enc = encode(tiny_params, tiny_batch, train_mode=True)  # dropout 0: no rng
         g = np.random.default_rng(3).uniform(-1, 1, (2, 8))
         encoder_names = [n for n in tiny_params.grads if not n.startswith("head.")]
         for name in encoder_names:
@@ -278,7 +326,7 @@ class TestEncode:
         # along the head's both gradients are 0.
         def f(flat):
             params = Parameters(tiny_params.config, tiny_params.values, flat)
-            dual = encode(params, tiny_batch)
+            dual = encode(params, tiny_batch, train_mode=True)
             value = (dual.output * probe).sum(axis=(-2, -1))
 
             def backward(g):
@@ -289,6 +337,42 @@ class TestEncode:
 
         err = grad_check(f, [tiny_params.flat], h=1e-5)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("arity,head", [("single", "classification"), ("pair", "classification"),
+                                            ("single", "regression"), ("pair", "regression")])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_eval_mode_equals_train_mode_at_dropout_zero_bitwise(self, n_layers, arity, head):
+        ds, params = ragged_rows_and_a_random_model(n_layers, arity, head)
+        stack = Parameters(params.config, params.values, np.stack([params.flat, params.flat[::-1]]))
+
+        def outputs(p, batch, train_mode):
+            return head_forward(p, encode(p, batch, train_mode=train_mode).output).output
+
+        widths = set()
+        for batch in batches(ds, 4):
+            widths.add(batch.token_ids.shape[1])
+            for p in (params, stack):
+                assert outputs(p, batch, False).tobytes() == outputs(p, batch, True).tobytes()
+        assert len(widths) == 3  # ragged: every batch is padded to its own longest row
+
+    def test_eval_mode_backward_raises(self, tiny_params, tiny_batch):
+        enc = encode(tiny_params, tiny_batch)
+        with pytest.raises(RuntimeError, match="eval mode keeps no backward state"):
+            enc.backward(np.ones((2, 8)))
+
+    def test_eval_mode_keeps_at_most_six_tenths_of_the_train_forward_peak(self):
+        # The benchmark's model (d 32, 2 layers, d_ff 64) on one 32-row dev batch
+        # of 14 tokens: train mode keeps every block's intermediates for the
+        # backward, eval mode frees each once the next op has read it.
+        cfg = ModelConfig(vocab_size=200, d_model=32, n_heads=2, n_layers=2, d_ff=64, max_len=16,
+                          dropout_rate=0.0, seed=1)
+        params = init_params(cfg)
+        ids = np.random.default_rng(0).integers(4, 200, (32, 14))
+        ids[:, 0] = 2
+        batch = EncodedBatch(ids, np.ones((32, 14), dtype=np.int64), np.zeros((32, 2)))
+        eval_peak = peak_traced_bytes(lambda: encode(params, batch).output)
+        train_peak = peak_traced_bytes(lambda: encode(params, batch, train_mode=True).output)
+        assert eval_peak <= 0.6 * train_peak, (eval_peak, train_peak)
 
 
 class TestSinusoidalPositions:

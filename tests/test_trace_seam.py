@@ -40,7 +40,7 @@ def test_traced_train_reports_every_layer(tmp_path):
         "--set", "mixup.schedule=always",
     )
     ops = [f"numerics.{op}" for op in ("matmul", "softmax_rows", "layer_norm", "gelu", "loss")]
-    expected = {*ops, *(op + ".bwd" for op in ops), "model.encode.train", "model.head",
+    expected = {*ops, *(op + ".bwd" for op in ops), "model.encode.train", "model.encode.eval", "model.head",
                 "mixup.mix", "mixup.mix_labels", "trainer.adam", "trainer.evaluate"}
     assert expected <= names.keys(), sorted(expected - names.keys())
 
