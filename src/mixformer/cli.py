@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 from typing import get_args, get_type_hints
 
 from . import files
@@ -54,19 +55,6 @@ def config_hash(cfg: dict) -> str:
 
 # ---------------------------------------------------------------- config
 
-# Config keys and the dataclass fields they set. The model's vocab_size, head,
-# n_classes and seed follow from the vocabulary, the task and train.seed.
-MODEL_KEYS = tuple(f.name for f in fields(ModelConfig)
-                   if f.name not in ("vocab_size", "head", "n_classes", "seed"))
-TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "mixup")
-VOCAB_KEYS = ("vocab_min_count", "vocab_max_size")  # in the model section; fields of RunConfig
-MIXUP_KEYS = ("enabled", "schedule")
-TASK_KEYS = ("name", "input_arity", "metric")
-PATH_KEYS = {"train": "train_path", "dev": "dev_path", "out": "out_dir"}
-COLUMN_KEYS = {"sentence1": "sentence1_col", "label": "label_col", "sentence2": "sentence2_col"}
-LABEL_KINDS = {"classes": (LabelClasses, {"n": "n"}), "regression": (LabelRegression, {"min": "lo", "max": "hi"})}
-POLICY_KEYS = {FixedLambda: {"lambda": "value"}, BetaLambda: ("alpha",)}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -94,6 +82,39 @@ class RunConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return replace(self.model, vocab_size=vocab_size, seed=self.train.seed)
+
+
+# Every config key: (section, key, the dataclass that owns it, its field), in
+# the order an unknown-key hint lists them. The model's vocab_size, head,
+# n_classes and seed follow from the vocabulary, the task and train.seed.
+# task.labels.kind, which no field holds (its owner is None), picks the label
+# rows that apply.
+KEYS = (
+    *(("model", f.name, ModelConfig, f.name) for f in fields(ModelConfig)
+      if f.name not in ("vocab_size", "head", "n_classes", "seed")),
+    ("model", "vocab_min_count", RunConfig, "vocab_min_count"),
+    ("model", "vocab_max_size", RunConfig, "vocab_max_size"),
+    *(("train", f.name, TrainConfig, f.name) for f in fields(TrainConfig) if f.name != "mixup"),
+    ("train", "fraction", RunConfig, "fraction"),
+    ("mixup", "enabled", MixupConfig, "enabled"),
+    ("mixup", "schedule", MixupConfig, "schedule"),
+    ("mixup", "lambda", FixedLambda, "value"),
+    ("mixup", "alpha", BetaLambda, "alpha"),
+    ("task", "name", TaskSpec, "name"),
+    ("task", "input_arity", TaskSpec, "input_arity"),
+    ("task", "metric", TaskSpec, "metric"),
+    ("task.labels", "kind", None, None),
+    ("task.labels", "n", LabelClasses, "n"),
+    ("task.labels", "min", LabelRegression, "lo"),
+    ("task.labels", "max", LabelRegression, "hi"),
+    ("task.columns", "sentence1", TaskSpec, "sentence1_col"),
+    ("task.columns", "label", TaskSpec, "label_col"),
+    ("task.columns", "sentence2", TaskSpec, "sentence2_col"),
+    ("paths", "train", RunConfig, "train_path"),
+    ("paths", "dev", RunConfig, "dev_path"),
+    ("paths", "out", RunConfig, "out_dir"),
+)
+LABEL_KINDS = {"classes": LabelClasses, "regression": LabelRegression}
 
 
 def _load_json_config(path) -> dict:
@@ -163,24 +184,26 @@ def _section(parent: dict, path: str, valid) -> dict:
     return node
 
 
-def _pairs(keys):
-    return keys.items() if isinstance(keys, dict) else zip(keys, keys)
+def _keys(section: str, owners=None) -> list:
+    """The keys of `section`: its rows' keys (of `owners` alone, when given), then its subsections' names."""
+    keys = [key for s, key, owner, _ in KEYS if s == section and (owners is None or owner in owners)]
+    return list(dict.fromkeys(keys + [s.rpartition(".")[2] for s, *_ in KEYS if s.rpartition(".")[0] == section]))
 
 
-def _kwargs(node: dict, path: str, cls, keys) -> dict:
-    """The values `node` gives for fields of dataclass `cls`, typed by the
-    fields; `keys` maps config keys to field names (a tuple when equal). An
-    absent key keeps its field's default; a field without one must be given.
+def _kwargs(nodes: dict, cls) -> dict:
+    """The values the config's sections `nodes` give for the fields of dataclass
+    `cls`, typed by the fields. An absent key keeps its field's default; a field
+    without one must be given.
 
     Annotations resolve in this module's globals first, because under runpy
     (`python -m cProfile -m mixformer.cli`) `sys.modules[cls.__module__]` is
     not this module."""
     hints, out = get_type_hints(cls, localns=globals()), {}
-    for key, name in _pairs(keys):
-        if key in node:
-            out[name] = _typed(f"{path}.{key}", node[key], hints[name])
+    for section, key, _, name in (row for row in KEYS if row[2] is cls):
+        if key in nodes[section]:
+            out[name] = _typed(f"{section}.{key}", nodes[section][key], hints[name])
         elif cls.__dataclass_fields__[name].default is MISSING:
-            raise InputError(f"config is missing {path}.{key}")
+            raise InputError(f"config is missing {section}.{key}")
     return out
 
 
@@ -190,42 +213,25 @@ def load_config(raw: dict) -> RunConfig:
     Defaults and types come from the dataclass fields. An unknown key, a value
     of the wrong type, or one the configs reject raises InputError naming it.
     """
-    _section(raw, "", ("model", "train", "mixup", "task", "paths"))
-    model = _section(raw, "model", MODEL_KEYS + VOCAB_KEYS)
-    train = _section(raw, "train", TRAIN_KEYS + ("fraction",))
-    mix = _section(raw, "mixup", (*MIXUP_KEYS, "lambda", "alpha"))
-    task = _section(raw, "task", (*TASK_KEYS, "labels", "columns"))
-    kind = _section(task, "task.labels", ("kind", "n", "min", "max")).get("kind")
-    if kind not in LABEL_KINDS:
+    nodes = {"": _section(raw, "", _keys(""))}
+    for section in dict.fromkeys(s for s, *_ in KEYS):  # each after its parent
+        nodes[section] = _section(nodes[section.rpartition(".")[0]], section, _keys(section))
+    kind = nodes["task.labels"].get("kind")
+    label_cls = LABEL_KINDS.get(kind) if isinstance(kind, str) else None  # a list or object is unhashable
+    if label_cls is None:
         raise InputError(f"config task.labels.kind must be classes or regression, got {json.dumps(kind)}")
-    label_cls, label_keys = LABEL_KINDS[kind]
-    labels = _section(task, "task.labels", ("kind", *label_keys))
-    if "lambda" in mix and "alpha" in mix:
+    _section(nodes["task"], "task.labels", _keys("task.labels", (None, label_cls)))
+    if "lambda" in nodes["mixup"] and "alpha" in nodes["mixup"]:
         raise InputError("config mixup takes either lambda (fixed) or alpha (beta), not both")
-    policy_cls = BetaLambda if "alpha" in mix else FixedLambda
+    policy_cls = BetaLambda if "alpha" in nodes["mixup"] else FixedLambda
     try:  # a value of the right type that a config rejects
-        task_spec = TaskSpec(
-            label_kind=label_cls(**_kwargs(labels, "task.labels", label_cls, label_keys)),
-            **_kwargs(task, "task", TaskSpec, TASK_KEYS),
-            **_kwargs(_section(task, "task.columns", tuple(COLUMN_KEYS)), "task.columns", TaskSpec, COLUMN_KEYS),
-        )
-        mixup = MixupConfig(
-            lambda_policy=policy_cls(**_kwargs(mix, "mixup", policy_cls, POLICY_KEYS[policy_cls])),
-            **_kwargs(mix, "mixup", MixupConfig, MIXUP_KEYS),
-        )
-        classes = task_spec.is_classification
-        return RunConfig(
-            task=task_spec,
-            model=ModelConfig(
-                vocab_size=1, head="classification" if classes else "regression",
-                n_classes=task_spec.label_kind.n if classes else 2,
-                **_kwargs(model, "model", ModelConfig, MODEL_KEYS),
-            ),
-            train=TrainConfig(mixup=mixup, **_kwargs(train, "train", TrainConfig, TRAIN_KEYS)),
-            **_kwargs(model, "model", RunConfig, VOCAB_KEYS),
-            **_kwargs(train, "train", RunConfig, ("fraction",)),
-            **_kwargs(_section(raw, "paths", tuple(PATH_KEYS)), "paths", RunConfig, PATH_KEYS),
-        )
+        task = TaskSpec(label_kind=label_cls(**_kwargs(nodes, label_cls)), **_kwargs(nodes, TaskSpec))
+        mixup = MixupConfig(lambda_policy=policy_cls(**_kwargs(nodes, policy_cls)), **_kwargs(nodes, MixupConfig))
+        classes = task.is_classification
+        model = ModelConfig(vocab_size=1, head="classification" if classes else "regression",
+                            n_classes=task.label_kind.n if classes else 2, **_kwargs(nodes, ModelConfig))
+        train = TrainConfig(mixup=mixup, **_kwargs(nodes, TrainConfig))
+        return RunConfig(task=task, model=model, train=train, **_kwargs(nodes, RunConfig))
     except ValueError as e:
         raise InputError(f"bad config: {e}") from None
 
@@ -233,20 +239,16 @@ def load_config(raw: dict) -> RunConfig:
 def normalized_config(cfg: RunConfig) -> dict:
     """`cfg` in the file's five-section layout, every default filled in; `load_config` inverts it."""
     task, mix = cfg.task, cfg.train.mixup
-    kind = "classes" if task.is_classification else "regression"
-
-    def pick(obj, keys):
-        return {key: getattr(obj, name) for key, name in _pairs(keys)}
-
-    return {
-        "model": {**pick(cfg.model, MODEL_KEYS), **pick(cfg, VOCAB_KEYS)},
-        "train": {**pick(cfg.train, TRAIN_KEYS), **pick(cfg, ("fraction",))},
-        "mixup": {**pick(mix, MIXUP_KEYS),
-                  **pick(mix.lambda_policy, POLICY_KEYS[type(mix.lambda_policy)])},
-        "task": {**pick(task, TASK_KEYS), "columns": pick(task, COLUMN_KEYS),
-                 "labels": {"kind": kind, **pick(task.label_kind, LABEL_KINDS[kind][1])}},
-        "paths": pick(cfg, PATH_KEYS),
-    }
+    objs = {ModelConfig: cfg.model, RunConfig: cfg, TrainConfig: cfg.train, MixupConfig: mix, TaskSpec: task,
+            type(mix.lambda_policy): mix.lambda_policy, type(task.label_kind): task.label_kind}
+    out = {}
+    for section, key, owner, name in (row for row in KEYS if row[2] in objs):
+        node = out
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = getattr(objs[owner], name)
+    out["task"]["labels"]["kind"] = "classes" if task.is_classification else "regression"
+    return out
 
 
 def _resolved_config(args) -> RunConfig:
@@ -343,20 +345,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# The datasets, vocabulary size and runs/ directory that every sweep cell shares,
-# set by `cmd_sweep` for the length of one sweep. Forked children inherit them,
-# so a unit's payload is its list of RunConfigs alone.
-_sweep_shared: tuple[Dataset, Dataset, int, str] | None = None
-
-
 def _failure(e: Exception) -> tuple[None, str]:
     return None, f"{type(e).__name__}: {e}"
 
 
-def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, state: TrainState | None):
+def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str,
+                    state: TrainState | None):
     """Train one cell on its subset `train_ds`, from `state` when given, and write
-    its run file: (metric, None), else (None, error) and no file."""
-    _, dev_ds, vocab_size, runs_dir = _sweep_shared
+    its run file to `runs_dir`: (metric, None), else (None, error) and no file."""
     try:
         report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size, state)
         files.write_json(os.path.join(runs_dir, report.run_id + ".json"), asdict(report))
@@ -365,7 +361,7 @@ def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, state: TrainState | None)
         return _failure(e)
 
 
-def _run_sweep_group(cells: list[RunConfig]):
+def _run_sweep_group(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str, cells: list[RunConfig]):
     """Train cells that share a fraction and a seed, and differ only in the arm;
     yield each one's `_run_sweep_cell` outcome as it finishes.
 
@@ -375,7 +371,6 @@ def _run_sweep_group(cells: list[RunConfig]):
     trained once, and each cell continues from its own copy of that state. A
     failure there fails every cell of the group.
     """
-    train_ds, dev_ds, vocab_size, _ = _sweep_shared
     first = cells[0]
     try:
         subset = _training_subset(first, train_ds)
@@ -390,7 +385,7 @@ def _run_sweep_group(cells: list[RunConfig]):
         yield from [_failure(e)] * len(cells)
         return
     for cell, state in zip(cells, states):
-        yield _run_sweep_cell(cell, subset, state)
+        yield _run_sweep_cell(cell, subset, dev_ds, vocab_size, runs_dir, state)
 
 
 def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[int]]:
@@ -443,10 +438,9 @@ def cmd_sweep(args) -> int:
     from .pool import fork_map
 
     done = [None] * len(cells)
-    global _sweep_shared
-    _sweep_shared = (train_ds, dev_ds, vocab.size, runs_dir)
-    # Children fork at the first result and inherit _sweep_shared; no more processes than there are units.
-    outcomes = fork_map(_run_sweep_group, payloads, args.jobs)
+    # Children fork at the first result and inherit the bound data, so a payload is a unit's
+    # RunConfigs alone; no more processes than there are units.
+    outcomes = fork_map(partial(_run_sweep_group, train_ds, dev_ds, vocab.size, runs_dir), payloads, args.jobs)
     try:
         results = ((i, result) for unit, unit_results in zip(units, outcomes) for i, result in zip(unit, unit_results))
         for k, (i, (metric, error)) in enumerate(results, 1):
@@ -456,9 +450,7 @@ def cmd_sweep(args) -> int:
                   f"{outcome}", file=sys.stderr)
             done[i] = (cell, metric, error)
     finally:
-        # After an interrupt, units not yet started are dropped and only the running ones finish.
-        _sweep_shared = None
-        outcomes.close()
+        outcomes.close()  # after an interrupt, units not yet started are dropped and only the running ones finish
 
     import csv
 

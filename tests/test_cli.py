@@ -1,14 +1,18 @@
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import os
 import runpy
 import select
+import shutil
 import signal
 import subprocess
 import sys
 import time
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +21,9 @@ import mixformer.checks as checks_mod
 import mixformer.cli as cli_mod
 import mixformer.trainer as trainer_mod
 from mixformer.cli import DEFAULT_FRACTIONS, RunConfig, config_hash, load_config, main, normalized_config
+from mixformer.data import LabelClasses, LabelRegression, TaskSpec
 from mixformer.errors import InputError
+from mixformer.mixup import BetaLambda, FixedLambda, MixupConfig
 from mixformer.numerics import DualResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,19 +241,45 @@ def count_calls(monkeypatch, module, name, path):
     monkeypatch.setattr(module, name, counted)
 
 
-def start_40_cell_sweep(tmp_path):
-    """Start `sweep --jobs 2` over 40 cells in a session of its own, its stderr on a pipe;
-    return the process, that pipe's read end, the parent's child pids and the output directory,
-    once the first progress line has arrived."""
+def track_train_datasets(monkeypatch):
+    """A list that gets a weak reference to each train Dataset `_load_task_data` returns."""
+    refs, real = [], cli_mod._load_task_data
+
+    def tracked(cfg):
+        vocab, train_ds, dev_ds = real(cfg)
+        refs.append(weakref.ref(train_ds))
+        return vocab, train_ds, dev_ds
+
+    monkeypatch.setattr(cli_mod, "_load_task_data", tracked)
+    return refs
+
+
+def assert_released(refs):
+    """Every tracked train Dataset is gone once cyclic garbage is collected: the sweep keeps none."""
+    gc.collect()
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
+
+
+def child_pids(pid):
+    return [int(child) for f in Path(f"/proc/{pid}/task").glob("*/children") for child in f.read_text().split()]
+
+
+def start_40_cell_sweep(tmp_path, *prefix):
+    """Start `sweep --jobs 2` over 40 cells in a session of its own, its stderr on a pipe, as
+    the child of the command `prefix` when one is given. Once the first progress line has
+    arrived, return the process started (`prefix`'s, when given), that pipe's read end, the
+    sweep parent's child pids, the output directory and the monotonic time of the start.
+    The sweep takes 5 to 6 s on 2 vCPUs, so it is still running 2 s after its start."""
     data = tmp_path / "data"
-    assert main(["gen-synthetic", "--out", str(data), "--train-size", "400", "--dev-size", "48",
+    assert main(["gen-synthetic", "--out", str(data), "--train-size", "1500", "--dev-size", "48",
                  "--seed", "3"]) == 0
     out = tmp_path / "sweep"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     read_end, write_end = os.pipe()
+    started = time.monotonic()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "mixformer.cli", "sweep", "--config", str(data / "config.json"),
+        [*prefix, sys.executable, "-m", "mixformer.cli", "sweep", "--config", str(data / "config.json"),
          "--out", str(out), "--arms", "both", "--seeds", "1,2", "--jobs", "2",
          "--set", "train.epochs=2", "--set", "model.max_len=16"],
         env=env, stdout=subprocess.DEVNULL, stderr=write_end, start_new_session=True)
@@ -255,13 +287,13 @@ def start_40_cell_sweep(tmp_path):
     stderr = os.fdopen(read_end, "rb")
     try:
         assert stderr.readline().startswith(b"sweep: 1/40 ")
-        children = [int(pid) for f in Path(f"/proc/{proc.pid}/task").glob("*/children")
-                    for pid in f.read_text().split()]
+        (sweep,) = child_pids(proc.pid) if prefix else (proc.pid,)
+        children = child_pids(sweep)
         assert len(children) == 1  # the parent runs units itself, beside one forked child
     except BaseException:
         stop_sweep(proc, stderr)
         raise
-    return proc, stderr, children, out
+    return proc, stderr, children, out, started
 
 
 def block_on_stderr(proc, stderr):
@@ -333,7 +365,8 @@ class TestSweep:
     def test_default_fractions_cover_ten_percent_grid(self, toy_dir, tmp_path, monkeypatch):
         assert DEFAULT_FRACTIONS == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
-        monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, train_ds, state: (0.5, None))
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell",
+                            lambda cfg, train_ds, dev_ds, vocab_size, runs_dir, state: (0.5, None))
         out = tmp_path / "sweep-default"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--arms", "baseline", "--seeds", "1"])
@@ -383,13 +416,14 @@ class TestSweep:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_mod, "_execute_run", failing)
+        train_datasets = track_train_datasets(monkeypatch)
         out = tmp_path / "sweep-failed"
         rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                    "--fractions", "1.0", "--arms", "both", "--seeds", "3"])
         assert rc == 1
         statuses = [r["status"] for r in read_sweep_csv(out / "sweep.csv")]
         assert statuses == ["error", "error"]
-        assert cli_mod._sweep_shared is None  # the datasets do not outlive the sweep
+        assert_released(train_datasets)  # the datasets do not outlive the sweep
 
     def test_one_progress_line_per_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         real = cli_mod._execute_run
@@ -421,13 +455,14 @@ class TestSweep:
             return real(cfg, *args)
 
         monkeypatch.setattr(cli_mod, "_execute_run", interrupted)
+        train_datasets = track_train_datasets(monkeypatch)
         out = tmp_path / "sweep-interrupted"
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
                   "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "2", *SMALL_MODEL,
                   "--set", "train.epochs=1"])
         assert len(calls) == 3
-        assert cli_mod._sweep_shared is None
+        assert_released(train_datasets)
         assert sorted(p.name for p in (out / "runs").iterdir()) == [
             "synthetic-keywords-f0.5-baseline-s2.json", "synthetic-keywords-f0.5-mixup-s2.json",
         ]
@@ -440,15 +475,18 @@ class TestSweep:
         # The interrupt must land while the parent is outside the loop that waits
         # for results: a stderr pipe that nobody reads blocks it in its next
         # progress line, as a slow reader of its output would.
-        proc, stderr, children, out = start_40_cell_sweep(tmp_path)
+        proc, stderr, children, out, _ = start_40_cell_sweep(tmp_path)
         try:
             block_on_stderr(proc, stderr)
             proc.send_signal(signal.SIGINT)
-            deadline = time.monotonic() + 60
+            deadline, tail = time.monotonic() + 60, b""
             while select.select([stderr], [], [], max(0.0, deadline - time.monotonic()))[0]:
-                if not stderr.read1():
+                chunk = stderr.read1()
+                if not chunk:
                     break  # EOF: the parent and its child have closed the pipe
-            assert proc.wait(timeout=max(0.0, deadline - time.monotonic())) != 0
+                tail = (tail + chunk)[-4096:]
+            # On failure, show what the sweep printed last, after the filler.
+            assert proc.wait(timeout=max(0.0, deadline - time.monotonic())) != 0, tail.decode(errors="replace")
         finally:
             stop_sweep(proc, stderr)
         assert not any(map(alive, children)), children
@@ -458,7 +496,7 @@ class TestSweep:
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids and states from /proc")
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
     def test_no_child_outlives_a_parent_killed_alone(self, tmp_path, sig):
-        proc, stderr, children, out = start_40_cell_sweep(tmp_path)
+        proc, stderr, children, out, _ = start_40_cell_sweep(tmp_path)
         try:
             # A kill inside a write leaves that file's .tmp, so neither process is in
             # one. Stopped, the child cannot leave through its own failed send: only
@@ -471,6 +509,27 @@ class TestSweep:
             assert not any(map(alive, children)), children
         finally:
             stop_sweep(proc, stderr)
+        runs = list((out / "runs").iterdir())
+        assert 0 < len(runs) < 40 and all(path.suffix == ".json" for path in runs)  # no .tmp
+        for path in runs:
+            assert read_json(path)["run_id"] + ".json" == path.name
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or shutil.which("timeout") is None,
+                        reason="reads child pids and states from /proc; runs the sweep under GNU timeout")
+    @pytest.mark.parametrize("sig", ["INT", "TERM"])
+    def test_timeouts_doubled_signal_ends_the_sweep_within_a_second(self, tmp_path, sig):
+        # After 2 s, GNU timeout signals the sweep and then its whole process group, so the parent
+        # gets the signal twice and its child once. A sweep still running 12 s later gets SIGKILL.
+        proc, stderr, children, out, started = start_40_cell_sweep(tmp_path, "timeout", "-s", sig, "-k", "12", "2")
+        try:
+            assert proc.wait(timeout=30) == 124  # timed out, and the sweep ended before the SIGKILL
+            ended = time.monotonic()
+            time.sleep(1)
+            assert not any(map(alive, children)), children
+        finally:
+            stop_sweep(proc, stderr)
+        assert ended - started < 2 + 1
         runs = list((out / "runs").iterdir())
         assert 0 < len(runs) < 40 and all(path.suffix == ".json" for path in runs)  # no .tmp
         for path in runs:
@@ -622,6 +681,7 @@ class TestSweep:
 
         monkeypatch.setattr(pool_mod, "fork_map", recording_fork_map)
         monkeypatch.setattr(os, "fork", counted_fork)
+        train_datasets = track_train_datasets(monkeypatch)
         csvs, runs, progress = [], [], []
         for name, n_jobs in (("seq", "1"), ("par", jobs)):
             out = tmp_path / name
@@ -629,7 +689,7 @@ class TestSweep:
                        "--fractions", "0.5,1.0", "--arms", arms, "--seeds", "2",
                        "--jobs", n_jobs, *SMALL_MODEL])
             assert rc == 0
-            assert cli_mod._sweep_shared is None  # released after the sweep, with and without a child
+            assert_released(train_datasets)  # released after the sweep, with and without a child
             fork_counts.append(len(forks))
             forks.clear()
             csvs.append((out / "sweep.csv").read_bytes())
@@ -751,6 +811,15 @@ class TestConfigLoader:
         assert all(name in err for name in named), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["[1]", "{}"], ids=["list", "object"])
+    def test_unhashable_label_kind_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--set", f"task.labels.kind={kind}"])
+        assert rc == 2
+        assert f"config task.labels.kind must be classes or regression, got {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_flag_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), "--seed", "-1"]) == 2
@@ -775,13 +844,37 @@ class TestConfigLoader:
         with pytest.raises(InputError, match="task.columns.label"):
             load_config(cfg)
 
-    def test_normalized_config_loads_back_to_the_same_config(self, toy_dir):
+    # Short ids keep each test's full name within 100 characters.
+    @pytest.mark.parametrize("arity", ["single", "pair"], ids=["one", "pair"])
+    @pytest.mark.parametrize("policy,policy_cls", [
+        ({"lambda": 0.3}, FixedLambda),
+        ({"alpha": 0.4}, BetaLambda),
+    ], ids=["fix", "beta"])
+    @pytest.mark.parametrize("labels,metric", [
+        ({"kind": "classes", "n": 3}, "accuracy"),
+        ({"kind": "regression", "min": 0, "max": 5}, "spearman"),
+    ], ids=["cls", "reg"])
+    def test_normalized_config_loads_back_to_the_same_config(self, toy_dir, labels, metric, policy, policy_cls,
+                                                             arity):
         cfg = json.loads((toy_dir / "config.json").read_text())
-        cfg["mixup"] = {"alpha": 0.4, "schedule": [2, 3]}
-        cfg["task"].update(labels={"kind": "regression", "min": 0, "max": 5}, metric="spearman")
+        cfg["mixup"] = {**policy, "schedule": [2, 3]}
+        cfg["task"].update(labels=labels, metric=metric, input_arity=arity)
+        if arity == "pair":
+            cfg["task"]["columns"]["sentence2"] = 2
         loaded = load_config(cfg)
-        again = load_config(json.loads(json.dumps(normalized_config(loaded))))
+        assert type(loaded.train.mixup.lambda_policy) is policy_cls and loaded.task.input_arity == arity
+        normalized = normalized_config(loaded)
+        assert normalized["task"]["labels"] == labels
+        again = load_config(json.loads(json.dumps(normalized)))
         assert again == loaded
+
+    def test_every_field_the_loader_sets_has_exactly_one_key(self):
+        # These fields are built from other rows; every other field is read from one key.
+        built = {TaskSpec: {"label_kind"}, MixupConfig: {"lambda_policy"}, RunConfig: {"task", "model", "train"}}
+        for cls in (TaskSpec, LabelClasses, LabelRegression, MixupConfig, FixedLambda, BetaLambda, RunConfig):
+            rows = sorted(name for _, _, owner, name in cli_mod.KEYS if owner is cls)
+            assert rows == sorted(f.name for f in fields(cls) if f.name not in built.get(cls, ())), cls.__name__
+        assert len({(section, key) for section, key, *_ in cli_mod.KEYS}) == len(cli_mod.KEYS)
 
     def test_config_hash_names_the_run_not_its_spelling(self, toy_dir, tmp_path):
         hashes = {}

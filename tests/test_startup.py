@@ -108,6 +108,10 @@ def test_importing_the_cli_leaves_the_pool_modules_out():
     command_only = ("concurrent.futures", "multiprocessing", "mixformer.pool", "mixformer.checks",
                     "mixformer.synthetic", "csv", "difflib")
     assert [name for name in command_only if name in loaded] == []
+    # The CLI's own import path, exactly: a module added to it costs every command its import.
+    assert [name for name in loaded if name.startswith("mixformer.")] == [
+        "mixformer.cli", "mixformer.data", "mixformer.errors", "mixformer.files", "mixformer.metrics",
+        "mixformer.mixup", "mixformer.model", "mixformer.numerics", "mixformer.trainer"]
     # fork_map forks and pipes by hand: no process pool comes with it.
     loaded = run_python(["-c", "import sys, mixformer.pool; print(*sorted(sys.modules))"]).split()
     assert "mixformer.pool" in loaded
