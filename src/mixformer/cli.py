@@ -35,16 +35,11 @@ class RunReport:
     """One training run, serialized as run.json; reproducible from this alone."""
 
     run_id: str
-    task: str
-    fraction: float
-    mixup_enabled: bool
-    seed: int
+    mixup_enabled: bool  # restates config and epochs, as final_metric does; perfbench/verify.py reads both
     config: dict
     config_hash: str
     vocab_size: int
-    metric_name: str
     final_metric: float
-    best_metric: float
     epochs: list[EpochReport]
 
 
@@ -302,14 +297,12 @@ def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size:
                  state: TrainState | None = None):
     """One training run of a loaded config on its training subset `train_ds`,
     continuing `state` when given; returns (RunReport, Parameters)."""
-    task, seed, fraction = cfg.task, cfg.train.seed, cfg.fraction
     params, reports = run_training(cfg.model_config(vocab_size), cfg.train, train_ds, dev_ds, state)
     normalized = normalized_config(cfg)
     report = RunReport(
-        run_id=_run_id(cfg), task=task.name, fraction=fraction,
-        mixup_enabled=cfg.train.mixup.enabled, seed=seed, config=normalized, config_hash=config_hash(normalized),
-        vocab_size=vocab_size, metric_name=task.metric, final_metric=reports[-1].dev_metric.value,
-        best_metric=max(r.dev_metric.value for r in reports), epochs=reports,
+        run_id=_run_id(cfg), mixup_enabled=cfg.train.mixup.enabled, config=normalized,
+        config_hash=config_hash(normalized), vocab_size=vocab_size, final_metric=reports[-1].dev_metric,
+        epochs=reports,
     )
     return report, params
 
@@ -323,8 +316,8 @@ def cmd_train(args) -> int:
     files.write_json(os.path.join(out_dir, "run.json"), asdict(report))
     save_params(params, os.path.join(out_dir, "params.mixf"))
     files.write_json(os.path.join(out_dir, "vocab.json"), vocab.to_dict())
-    print(f"{report.run_id}: {report.metric_name}={report.final_metric:.4f} "
-          f"(best {report.best_metric:.4f}) -> {out_dir}")
+    best = max(r.dev_metric for r in report.epochs)
+    print(f"{report.run_id}: {cfg.task.metric}={report.final_metric:.4f} (best {best:.4f}) -> {out_dir}")
     return 0
 
 
@@ -340,8 +333,8 @@ def cmd_eval(args) -> int:
     model_cfg = cfg.model_config(vocab.size)
     params = load_params(args.params, model_cfg)
     dev_ds = load_tsv(args.dev, cfg.task, vocab, model_cfg.max_len, "dev")
-    result = evaluate(params, dev_ds)
-    print(json.dumps({"metric": result.metric_name, "value": result.value, "n": result.n}))
+    value = evaluate(params, dev_ds)
+    print(json.dumps({"metric": cfg.task.metric, "value": value, "n": len(dev_ds.examples)}))
     return 0
 
 

@@ -63,6 +63,10 @@ class TaskSpec:
             raise ValueError(f"input_arity must be 'single' or 'pair', got {self.input_arity!r}")
         if (self.input_arity == "pair") != (self.sentence2_col is not None):
             raise ValueError("sentence2 column required iff input_arity is 'pair'")
+        for key in ("sentence1", "label", "sentence2"):
+            col = getattr(self, key + "_col")
+            if col is not None and col < 0:  # a negative index would count from the row's end
+                raise ValueError(f"task.columns.{key} must be >= 0, got {col}")
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"metric must be one of {METRIC_NAMES}, got {self.metric!r}")
         if self.metric == "matthews" and not (

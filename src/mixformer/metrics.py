@@ -8,23 +8,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    metric_name: str
-    value: float
-    n: int
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("EvalResult needs at least one evaluated example")
-        if not -1.0 - 1e-9 <= self.value <= 1.0 + 1e-9:
-            raise ValueError(f"metric value {self.value} outside [-1, 1]")
 
 
 def accuracy(pred: Sequence[int], gold: Sequence[int]) -> float:

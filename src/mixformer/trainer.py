@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import Dataset, batches
 from .errors import NonFiniteLossError
-from .metrics import EvalResult, accuracy, matthews_corr, spearman_corr
-from .mixup import FixedLambda, MixPlan, MixupConfig, is_active, make_plan, mix_labels, mix_representations
+from .metrics import accuracy, matthews_corr, spearman_corr
+from .mixup import MixPlan, MixupConfig, is_active, make_plan, mix_labels, mix_representations
 from .model import EncodedBatch, ModelConfig, Parameters, encode, head_forward, init_params
 from .numerics import DualResult, cross_entropy_soft, mse
 
@@ -41,6 +41,13 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"train.{key} must lie in [0, 1), got {beta}")
+        if self.adam_eps <= 0:
+            raise ValueError(f"train.adam_eps must be positive, got {self.adam_eps}")
+        if self.weight_decay < 0:
+            raise ValueError(f"train.weight_decay must be >= 0, got {self.weight_decay}")
         if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
             raise ValueError(f"grad_clip_norm must be positive or None, got {self.grad_clip_norm}")
         if self.seed < 0:
@@ -54,9 +61,8 @@ class TrainConfig:
 class EpochReport:
     epoch: int
     mixup_active: bool
-    lambda_used: float | str  # fixed value, "beta(a)" tag, or 1.0 when inactive
     mean_train_loss: float
-    dev_metric: EvalResult
+    dev_metric: float
     wall_time_ms: int
 
 
@@ -226,20 +232,11 @@ def adam_update(params: Parameters, step_count: int, config: TrainConfig) -> Par
     return params
 
 
-def _lambda_tag(mix_active: bool, config: MixupConfig) -> float | str:
-    if not mix_active:
-        return 1.0
-    pol = config.lambda_policy
-    if isinstance(pol, FixedLambda):
-        return pol.value
-    return f"beta({pol.alpha:g})"
-
-
 EVAL_BATCH_SIZE = 32
 
 
-def evaluate(params: Parameters, dev_ds: Dataset) -> EvalResult:
-    """Forward-only pass (no dropout, no mixing); dispatches to the task metric.
+def evaluate(params: Parameters, dev_ds: Dataset) -> float:
+    """Forward-only pass (no dropout, no mixing); returns the task metric's value.
 
     Rows are batched in order of length (a stable sort), so each batch is
     padded to about its rows' own width instead of the longest of
@@ -261,12 +258,10 @@ def evaluate(params: Parameters, dev_ds: Dataset) -> EvalResult:
     preds = (np.argmax(out, axis=1) if task.is_classification else out[:, 0]).tolist()
     golds = [ex.label for ex in examples]
     if task.metric == "accuracy":
-        value = accuracy(preds, golds)
-    elif task.metric == "matthews":
-        value = matthews_corr(preds, golds)
-    else:
-        value = spearman_corr(preds, golds)
-    return EvalResult(task.metric, value, len(examples))
+        return accuracy(preds, golds)
+    if task.metric == "matthews":
+        return matthews_corr(preds, golds)
+    return spearman_corr(preds, golds)
 
 
 def run_training(
@@ -307,14 +302,12 @@ def run_training(
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(f"epoch {epoch}, step {step}: {e}") from None
             losses.append(loss)
-        dev_metric = evaluate(params, dev_ds)
         state.reports.append(
             EpochReport(
                 epoch=epoch,
                 mixup_active=active,
-                lambda_used=_lambda_tag(active, mix_cfg),
                 mean_train_loss=float(np.mean(losses)) if losses else float("nan"),
-                dev_metric=dev_metric,
+                dev_metric=evaluate(params, dev_ds),
                 wall_time_ms=int((time.perf_counter() - t0) * 1000),
             )
         )

@@ -122,7 +122,6 @@ class TestTrain:
         main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out),
               "--seed", "123", *SMALL_MODEL])
         report = read_json(out / "run.json")
-        assert report["seed"] == 123
         assert report["config"]["train"]["seed"] == 123
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -802,6 +801,10 @@ class TestConfigLoader:
         ("train.seed=-1", ["train.seed"]),
         ("model.vocab_max_size=4", ["model.vocab_max_size"]),
         ("model.vocab_min_count=0", ["model.vocab_min_count"]),
+        ("train.beta1=1", ["train.beta1", "[0, 1)"]),
+        ("train.beta2=1.5", ["train.beta2", "[0, 1)"]),
+        ("train.adam_eps=0", ["train.adam_eps"]),
+        ("train.weight_decay=-1", ["train.weight_decay"]),
     ])
     def test_config_it_cannot_honour_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, override, named):
         out = tmp_path / "out"
@@ -819,6 +822,23 @@ class TestConfigLoader:
         assert rc == 2
         assert f"config task.labels.kind must be classes or regression, got {kind}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["sentence1", "label", "sentence2"])
+    def test_negative_column_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, column):
+        # -2 is the label column of the synthetic TSV's two, which a negative index would read.
+        pair = ["--set", "task.input_arity=pair", "--set", "task.columns.sentence2=1"] if column == "sentence2" else []
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL, *pair,
+                   "--set", f"task.columns.{column}=-2"])
+        assert rc == 2
+        assert f"task.columns.{column} must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_betas_and_weight_decay_load(self, toy_dir):
+        cfg = json.loads((toy_dir / "config.json").read_text())
+        cfg["train"].update(beta1=0, beta2=0, weight_decay=0)
+        train = load_config(cfg).train
+        assert (train.beta1, train.beta2, train.weight_decay) == (0.0, 0.0, 0.0)
 
     def test_negative_seed_flag_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixformer.metrics import EvalResult, accuracy, matthews_corr, pearson_corr, spearman_corr
+from mixformer.metrics import accuracy, matthews_corr, pearson_corr, spearman_corr
 
 
 # ---- independent brute-force oracles -------------------------------------
@@ -217,10 +217,3 @@ def test_pearson_positive_affine_invariant(xy, scale, shift):
         pearson_corr(x, y), abs=1e-7
     )
 
-
-def test_eval_result_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        EvalResult("accuracy", 0.5, 0)
-    with pytest.raises(ValueError, match="outside"):
-        EvalResult("accuracy", 1.5, 3)
-    assert EvalResult("accuracy", 0.75, 4).value == 0.75
