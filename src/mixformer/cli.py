@@ -288,11 +288,6 @@ def _run_id(cfg: RunConfig) -> str:
     return f"{cfg.task.name}-f{cfg.fraction:g}-{_arm(cfg)}-s{cfg.train.seed}"
 
 
-def _training_subset(cfg: RunConfig, train_ds: Dataset) -> Dataset:
-    """The rows a run trains on: the seeded reduction to its fraction."""
-    return reduce_dataset(train_ds, cfg.fraction, cfg.train.seed) if cfg.fraction < 1.0 else train_ds
-
-
 def _execute_run(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int,
                  state: TrainState | None = None):
     """One training run of a loaded config on its training subset `train_ds`,
@@ -312,7 +307,7 @@ def cmd_train(args) -> int:
     out_dir = _resolve_out(args, cfg)
     vocab, train_ds, dev_ds = _load_task_data(cfg)
     _make_out_dir(out_dir)
-    report, params = _execute_run(cfg, _training_subset(cfg, train_ds), dev_ds, vocab.size)
+    report, params = _execute_run(cfg, reduce_dataset(train_ds, cfg.fraction, cfg.train.seed), dev_ds, vocab.size)
     files.write_json(os.path.join(out_dir, "run.json"), asdict(report))
     save_params(params, os.path.join(out_dir, "params.mixf"))
     files.write_json(os.path.join(out_dir, "vocab.json"), vocab.to_dict())
@@ -343,9 +338,9 @@ def _failure(e: Exception) -> tuple[None, str]:
 
 
 def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str,
-                    state: TrainState | None):
-    """Train one cell on its subset `train_ds`, from `state` when given, and write
-    its run file to `runs_dir`: (metric, None), else (None, error) and no file."""
+                    state: TrainState):
+    """Train one cell on its subset `train_ds`, continuing `state`, and write its
+    run file to `runs_dir`: (metric, None), else (None, error) and no file."""
     try:
         report, _ = _execute_run(cfg, train_ds, dev_ds, vocab_size, state)
         files.write_json(os.path.join(runs_dir, report.run_id + ".json"), asdict(report))
@@ -355,25 +350,24 @@ def _run_sweep_cell(cfg: RunConfig, train_ds: Dataset, dev_ds: Dataset, vocab_si
 
 
 def _run_sweep_group(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_dir: str, cells: list[RunConfig]):
-    """Train cells that share a fraction and a seed, and differ only in the arm;
-    yield each one's `_run_sweep_cell` outcome as it finishes.
+    """Train one unit: cells that share a fraction and a seed, and differ only
+    in the arm. Yield each one's `_run_sweep_cell` outcome as it finishes.
 
-    They train on one subset, and until the mixup arm's first mixing epoch
+    They train on one subset, and until the first mixing epoch of any of them
     they compute the same thing: same initial weights, shuffles and dropout
     draws, with the mixing generator not yet drawn from. Those epochs are
-    trained once, and each cell continues from its own copy of that state. A
-    failure there fails every cell of the group.
+    trained once, on one state. The first cell continues that state and each
+    other cell its own copy of it; a unit of one cell takes the same path. A
+    failure there fails every cell of the unit.
     """
     first = cells[0]
     try:
-        subset = _training_subset(first, train_ds)
-        states = [None] * len(cells)
-        shared = min(epochs_before_mixing(c.train.epochs, c.train.mixup) for c in cells) if len(cells) > 1 else 0
-        if shared:
-            model_config = first.model_config(vocab_size)
-            state = start_state(model_config, first.train.seed)
-            run_training(model_config, first.train, subset, dev_ds, state, stop=shared)
-            states = [state, *(state.copy() for _ in cells[1:])]
+        subset = reduce_dataset(train_ds, first.fraction, first.train.seed)
+        model_config = first.model_config(vocab_size)
+        state = start_state(model_config, first.train.seed)
+        shared = min(epochs_before_mixing(c.train.epochs, c.train.mixup) for c in cells)
+        run_training(model_config, first.train, subset, dev_ds, state, stop=shared)
+        states = [state, *(state.copy() for _ in cells[1:])]
     except Exception as e:
         yield from [_failure(e)] * len(cells)
         return
@@ -381,13 +375,13 @@ def _run_sweep_group(train_ds: Dataset, dev_ds: Dataset, vocab_size: int, runs_d
         yield _run_sweep_cell(cell, subset, dev_ds, vocab_size, runs_dir, state)
 
 
-def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[int]]:
-    """The cell indices of each unit of work: a group per (fraction, seed), or
-    one cell each when there are fewer groups than jobs, so no process idles."""
-    groups: dict[tuple, list[int]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault((cell.fraction, cell.train.seed), []).append(i)
-    return list(groups.values()) if len(groups) >= jobs else [[i] for i in range(len(cells))]
+def _sweep_units(cells: list[RunConfig], jobs: int) -> list[list[RunConfig]]:
+    """The cells of each unit of work: a group per (fraction, seed), or one
+    cell each when there are fewer groups than jobs, so no process idles."""
+    groups: dict[tuple, list[RunConfig]] = {}
+    for cell in cells:
+        groups.setdefault((cell.fraction, cell.train.seed), []).append(cell)
+    return list(groups.values()) if len(groups) >= jobs else [[cell] for cell in cells]
 
 
 def _parse_list(flag: str, text: str, kind, what: str) -> list:
@@ -427,21 +421,20 @@ def cmd_sweep(args) -> int:
     runs_dir = os.path.join(out_dir, "runs")
     _make_out_dir(runs_dir)
     units = _sweep_units(cells, args.jobs)
-    payloads = [[cells[i] for i in unit] for unit in units]
     from .pool import fork_map
 
-    done = [None] * len(cells)
-    # Children fork at the first result and inherit the bound data, so a payload is a unit's
+    done = {}  # (metric, error) by cell: results arrive in unit order, not cell order
+    # Children fork at the first result and inherit the bound data, so an item is a unit's
     # RunConfigs alone; no more processes than there are units.
-    outcomes = fork_map(partial(_run_sweep_group, train_ds, dev_ds, vocab.size, runs_dir), payloads, args.jobs)
+    outcomes = fork_map(partial(_run_sweep_group, train_ds, dev_ds, vocab.size, runs_dir), units, args.jobs)
     try:
-        results = ((i, result) for unit, unit_results in zip(units, outcomes) for i, result in zip(unit, unit_results))
-        for k, (i, (metric, error)) in enumerate(results, 1):
-            cell = cells[i]
+        results = ((cell, result) for unit, unit_results in zip(units, outcomes)
+                   for cell, result in zip(unit, unit_results))
+        for k, (cell, (metric, error)) in enumerate(results, 1):
             outcome = f"{cfg.task.metric}={metric:.4f}" if error is None else f"failed: {error}"
             print(f"sweep: {k}/{len(cells)} fraction={cell.fraction:g} arm={_arm(cell)} seed={cell.train.seed} "
                   f"{outcome}", file=sys.stderr)
-            done[i] = (cell, metric, error)
+            done[cell] = metric, error
     finally:
         outcomes.close()  # after an interrupt, units not yet started are dropped and only the running ones finish
 
@@ -450,12 +443,13 @@ def cmd_sweep(args) -> int:
     table = io.StringIO()
     writer = csv.writer(table)
     writer.writerow(["task", "fraction", "arm", "seed", "metric", "status"])
-    for cell, metric, error in done:
+    for cell in cells:
+        metric, error = done[cell]
         writer.writerow([cfg.task.name, cell.fraction, _arm(cell), cell.train.seed,
                          "" if error else repr(metric), "error" if error else "ok"])
     for fraction in fractions if set(arms) == {"baseline", "mixup"} else []:
-        base, mixed = (
-            [metric for cell, metric, error in done if (cell.fraction, _arm(cell), error) == (fraction, arm, None)]
+        base, mixed = (  # summed in cell order, which is seed order, so a mean keeps its bits
+            [done[cell][0] for cell in cells if (cell.fraction, _arm(cell), done[cell][1]) == (fraction, arm, None)]
             for arm in ("baseline", "mixup")
         )
         if base and mixed:
@@ -463,9 +457,9 @@ def cmd_sweep(args) -> int:
             writer.writerow([cfg.task.name, fraction, "delta", "", repr(delta), "ok"])
     csv_path = os.path.join(out_dir, "sweep.csv")
     files.write(csv_path, table.getvalue())
-    n_err = sum(error is not None for _, _, error in done)
-    print(f"sweep: {len(done)} cells ({n_err} failed) -> {csv_path}")
-    return 1 if n_err == len(done) else 0
+    n_err = sum(error is not None for _, error in done.values())
+    print(f"sweep: {len(cells)} cells ({n_err} failed) -> {csv_path}")
+    return 1 if n_err == len(cells) else 0
 
 
 def cmd_gradcheck(args) -> int:

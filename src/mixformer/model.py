@@ -172,9 +172,10 @@ def sinusoidal_positions(length: int, d_model: int) -> Array:
 def _linear(x2d: Array, params: Parameters, w_name: str, b_name: str) -> DualResult:
     mm = matmul(x2d, params.values[w_name])
     out = mm.output + params.values[b_name]
+    mm_backward = mm.backward  # captured alone, so that the pre-bias product is freed
 
     def backward(g):
-        dx, params.grads[w_name][...] = mm.backward(g)
+        dx, params.grads[w_name][...] = mm_backward(g)
         params.grads[b_name][...] = g.sum(axis=0)
         return (dx,)
 
@@ -345,10 +346,10 @@ def encode(
         else:
             x = _block_eval(params, f"layer{i}.", x, key_bias, Lq)
 
-    if not train_mode:
-        return DualResult(np.tanh(_linear(x[..., 0, :], params, "pooler.w", "pooler.b").output), _no_backward)
     pool_lin = _linear(x[..., 0, :], params, "pooler.w", "pooler.b")
     pooled = np.tanh(pool_lin.output)
+    if not train_mode:
+        return DualResult(pooled, _no_backward)
 
     def backward(g):
         (dh0,) = pool_lin.backward(g * (1.0 - pooled * pooled))

@@ -17,7 +17,7 @@ def fork_map(fn, items, jobs: int):
     as their results are asked for. The other n - 1 fork at the first request,
     inherit the caller's memory (module globals, patched attributes, allocator
     settings), and send one pickled `list(fn(item))` per item down a pipe. With
-    n = 1 this is `map`, and nothing forks.
+    n = 1 the caller runs every item and nothing forks, as `map` would.
 
     Close the generator on every exit path: it closes the pipes and reaps the
     children. Each child finishes the item it is running, its send fails and it
@@ -28,9 +28,6 @@ def fork_map(fn, items, jobs: int):
     """
     items = list(items)
     n = min(jobs, len(items))
-    if n <= 1:
-        yield from map(fn, items)
-        return
     caller, readers, pids = os.getpid(), [], {}
     try:
         for k in range(1, n):

@@ -27,6 +27,9 @@ FILLER_WORDS = (
     "in", "on", "with", "without",
 )
 
+MIN_WORDS = 5  # a sentence's length range, keywords included
+MAX_WORDS = 12
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -34,20 +37,16 @@ class SyntheticSpec:
     n_dev: int = 500
     noise: float = 0.1
     seed: int = 7
-    min_words: int = 5
-    max_words: int = 12
 
     def __post_init__(self):
         if self.n_train < 2 or self.n_dev < 2:
             raise ValueError("need at least 2 train and 2 dev examples")
         if not 0.0 <= self.noise < 0.5:
             raise ValueError(f"noise must lie in [0, 0.5), got {self.noise}")
-        if not 2 <= self.min_words <= self.max_words:
-            raise ValueError("need 2 <= min_words <= max_words")
 
 
-def _sentence(label: int, rng: np.random.Generator, spec: SyntheticSpec) -> str:
-    length = int(rng.integers(spec.min_words, spec.max_words + 1))
+def _sentence(label: int, rng: np.random.Generator) -> str:
+    length = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
     n_kw = int(rng.integers(1, 3))
     kws = list(rng.choice(CLASS_KEYWORDS[label], size=min(n_kw, length), replace=False))
     fillers = list(rng.choice(FILLER_WORDS, size=length - len(kws), replace=True))
@@ -62,10 +61,10 @@ def generate(spec: SyntheticSpec) -> tuple[list[tuple[int, str]], list[tuple[int
     train = []
     for i in range(spec.n_train):
         true_label = i % 2
-        sent = _sentence(true_label, rng, spec)
+        sent = _sentence(true_label, rng)
         written = true_label ^ int(rng.random() < spec.noise)
         train.append((written, sent))
-    dev = [(i % 2, _sentence(i % 2, rng, spec)) for i in range(spec.n_dev)]
+    dev = [(i % 2, _sentence(i % 2, rng)) for i in range(spec.n_dev)]
     return train, dev
 
 

@@ -22,7 +22,7 @@ import mixformer.cli as cli_mod
 import mixformer.trainer as trainer_mod
 from mixformer.cli import DEFAULT_FRACTIONS, RunConfig, config_hash, load_config, main, normalized_config
 from mixformer.data import LabelClasses, LabelRegression, TaskSpec
-from mixformer.errors import InputError
+from mixformer.errors import InputError, NonFiniteLossError
 from mixformer.mixup import BetaLambda, FixedLambda, MixupConfig
 from mixformer.numerics import DualResult
 
@@ -148,6 +148,22 @@ class TestTrain:
             reports.append(rep)
         assert reports[0] == reports[1]
 
+    def test_non_finite_step_exits_1_naming_epoch_and_step(self, toy_dir, tmp_path, monkeypatch, capsys):
+        real, calls = trainer_mod.train_step, []
+
+        def blows_up_at_step_2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NonFiniteLossError("non-finite values in tensor 'loss'")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_step", blows_up_at_step_2)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(toy_dir / "config.json"), "--out", str(out), *SMALL_MODEL])
+        assert rc == 1
+        assert "training failed: epoch 1, step 2: non-finite values in tensor 'loss'" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
 
 class TestEval:
     def test_eval_reproduces_final_dev_metric(self, toy_dir, tmp_path, capsys):
@@ -215,6 +231,37 @@ class TestEval:
                    "--params", str(out / "params.mixf"), "--vocab", str(out / "vocab.json"),
                    "--dev", str(empty)])
         assert rc == 2
+
+
+@pytest.mark.parametrize("labels,metric", [
+    ({"kind": "classes", "n": 2}, "accuracy"),
+    ({"kind": "regression", "min": 0, "max": 5}, "spearman"),
+], ids=["classes", "regression"])
+def test_pair_task_trains_and_evaluates(toy_dir, tmp_path, capsys, labels, metric):
+    # The third column holds a word that no first sentence has.
+    paths = {}
+    for split, n in (("train", 16), ("dev", 6)):
+        rows = [f"{i % 2 if labels['kind'] == 'classes' else i % 5 + 0.5}\t"
+                f"{'superb vivid' if i % 2 else 'dull bleak'} movie\tsecondonly {'warm' if i % 2 else 'sour'}\n"
+                for i in range(n)]
+        paths[split] = tmp_path / f"pair-{split}.tsv"
+        paths[split].write_text("label\tsentence1\tsentence2\n" + "".join(rows))
+    cfg = read_json(toy_dir / "config.json")
+    cfg["task"].update(input_arity="pair", labels=labels, metric=metric)
+    cfg["task"]["columns"]["sentence2"] = 2
+    cfg["paths"].update(train=str(paths["train"]), dev=str(paths["dev"]))
+    config = tmp_path / "pair-config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out), *SMALL_MODEL]) == 0
+    assert "secondonly" in read_json(out / "vocab.json")  # the vocabulary reads sentence2 too
+    capsys.readouterr()
+    rc = main(["eval", "--config", str(config), *SMALL_MODEL, "--params", str(out / "params.mixf"),
+               "--vocab", str(out / "vocab.json"), "--dev", str(paths["dev"])])
+    assert rc == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["metric"] == metric and result["n"] == 6
+    assert result["value"] == read_json(out / "run.json")["final_metric"]
 
 
 def read_sweep_csv(path):
@@ -708,6 +755,25 @@ class TestSweep:
         assert all(type(p) is list and [type(c) for c in p] == [RunConfig] * unit_size for p in payloads)
         assert fork_counts == [0, 1]  # --jobs 1 forks nothing; 2 units fork min(jobs, 2) - 1 = 1 child
 
+    def test_delta_sums_each_arm_in_seed_order(self, toy_dir, tmp_path, monkeypatch):
+        # Seed s scores s / 10, plus 0.5 in the mixup arm: each arm's three scores
+        # sum to other bits in reverse order, so only seed order gives the delta.
+        monkeypatch.setattr(cli_mod, "_run_sweep_cell",
+                            lambda cfg, *rest: (cfg.train.seed / 10 + 0.5 * cfg.train.mixup.enabled, None))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(toy_dir / "config.json"), "--out", str(out),
+                   "--fractions", "0.5,1.0", "--arms", "both", "--seeds", "1,2,3", "--jobs", "2", *SMALL_MODEL])
+        assert rc == 0
+        rows = read_sweep_csv(out / "sweep.csv")
+        for fraction in ("0.5", "1.0"):
+            arm_rows = {arm: [r for r in rows if (r["fraction"], r["arm"]) == (fraction, arm)]
+                        for arm in ("baseline", "mixup", "delta")}
+            base, mixed = ([float(r["metric"]) for r in arm_rows[arm]] for arm in ("baseline", "mixup"))
+            for arm, scores in (("baseline", base), ("mixup", mixed)):
+                assert [r["seed"] for r in arm_rows[arm]] == ["1", "2", "3"]
+                assert sum(scores) != sum(scores[::-1])
+            assert float(arm_rows["delta"][0]["metric"]) == sum(mixed) / 3 - sum(base) / 3
+
     def test_negative_seed_exits_2_before_any_cell(self, toy_dir, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli_mod, "_run_sweep_cell", lambda cfg, *rest: calls.append(cfg) or (0.5, None))
@@ -805,6 +871,7 @@ class TestConfigLoader:
         ("train.beta2=1.5", ["train.beta2", "[0, 1)"]),
         ("train.adam_eps=0", ["train.adam_eps"]),
         ("train.weight_decay=-1", ["train.weight_decay"]),
+        ("mixup.alpha=0.4", ["config mixup takes either lambda (fixed) or alpha (beta), not both"]),  # beside lambda
     ])
     def test_config_it_cannot_honour_exits_2_naming_the_key(self, toy_dir, tmp_path, capsys, override, named):
         out = tmp_path / "out"

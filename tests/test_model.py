@@ -458,6 +458,20 @@ class TestSaveLoad:
         with pytest.raises(InputError, match="truncated in tensor"):
             load_params(path, tiny_config)
 
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob[:12], "truncated before header length"),
+        (lambda blob: blob[:20], "truncated inside header"),
+        (lambda blob: blob[:16] + b"[" + blob[17:], "corrupt header"),
+        (lambda blob: blob.replace(b'"embed.tok"', b'"embed.tak"', 1), "parameter names do not match config"),
+    ], ids=["no-length", "short-header", "bad-json", "renamed"])
+    def test_damaged_header_is_load_error(self, tiny_config, tiny_params, tmp_path, damage, message):
+        # The file is 8 bytes of magic, an 8-byte header length, then the JSON header.
+        path = tmp_path / "params.mixf"
+        save_params(tiny_params, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(InputError, match=message):
+            load_params(path, tiny_config)
+
     def test_bad_magic(self, tiny_config, tmp_path):
         path = tmp_path / "params.mixf"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
